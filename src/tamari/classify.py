@@ -18,54 +18,58 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .posets import IntervalPoset, Pair
-from .trees import (
-    TamariInterval,
-    Tree,
-)
+from .trees import TamariInterval, Tree, dec_masks, mask_pairs
+
+
+def _cover_masks(p: IntervalPoset) -> list[int]:
+    """Up-covers of each vertex: its up-set minus the up-sets above it."""
+    up = p.up
+    covers = []
+    for mask in up:
+        implied = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            implied |= up[low.bit_length() - 1]
+            rest ^= low
+        covers.append(mask & ~implied)
+    return covers
 
 
 def hasse(p: IntervalPoset) -> frozenset[Pair]:
     """Cover pairs: the relation minus all transitively implied pairs."""
-    rel = p.relations
-    return frozenset(
-        (a, b)
-        for (a, b) in rel
-        if not any((a, c) in rel and (c, b) in rel for c in range(1, p.n + 1))
+    return mask_pairs(_cover_masks(p))
+
+
+def _splits(masks) -> bool:
+    """Whether some vertex y has bits both below and above y in its mask."""
+    return any(
+        mask & ((1 << y) - 1) and mask >> (y + 1) for y, mask in enumerate(masks)
     )
 
 
 def is_exceptional(p: IntervalPoset) -> bool:
     """No y covers both some x < y and some z > y in the Hasse diagram."""
-    covers = hasse(p)
-    for y in range(1, p.n + 1):
-        ups = [b for (a, b) in covers if a == y]
-        if any(b < y for b in ups) and any(b > y for b in ups):
-            return False
-    return True
+    return not _splits(_cover_masks(p))
 
 
 def is_modern(p: IntervalPoset) -> bool:
     """No x <| y and z <| y with x < y < z, over all relations (not just
     covers, unlike :func:`is_exceptional`)."""
-    rel = p.relations
-    for (x, y) in rel:
-        if x < y and any((z, y) in rel for z in range(y + 1, p.n + 1)):
-            return False
-    return True
+    return not _splits(p.down)
 
 
 def is_new_ip(p: IntervalPoset) -> bool:
     """No increasing relation from 1, no decreasing relation from n, and no
     pair i+1 <| j+1 (increasing) with j <| i (decreasing), i < j."""
-    rel = p.relations
-    if any(x == 1 and x < y for (x, y) in rel):
+    up = p.up
+    if up and (up[0] or up[-1]):
         return False
-    if any(x == p.n and x > y for (x, y) in rel):
-        return False
-    for (j, i) in rel:
-        if i < j and (i + 1, j + 1) in rel:
-            return False
-    return True
+    down = p.down
+    # the i < j with j <| i, shifted to i + 1, must miss the down-set of j + 1
+    return not any(
+        (dec << 1) & below for dec, below in zip(dec_masks(up), down[1:])
+    )
 
 
 @dataclass(frozen=True)
@@ -79,9 +83,10 @@ class StatPair:
 
 
 def stat(p: IntervalPoset) -> StatPair:
-    incs = [k for (k, l) in p.relations if l == k + 1]
-    decs = [i for (i, j) in p.relations if j == i - 1]
-    return StatPair(ir=min(incs) if incs else p.n, dr=max(decs) if decs else 1)
+    up, n = p.up, p.n
+    ir = next((k for k in range(1, n) if up[k - 1] >> k & 1), n)
+    dr = next((i for i in range(n, 1, -1) if up[i - 1] >> (i - 2) & 1), 1)
+    return StatPair(ir=ir, dr=dr)
 
 
 def is_infinitely_modern(p: IntervalPoset) -> bool:
@@ -96,13 +101,10 @@ def avoids_long_crossing(p: IntervalPoset) -> bool:
     {1 <| 2, 3 <| 2} whose first rise already fails, so infinite
     modernity is decided by :func:`is_infinitely_modern` instead.
     """
-    rel = p.relations
-    for (w, x) in rel:
-        if w < x:
-            for (z, y) in rel:
-                if x < y < z:
-                    return False
-    return True
+    down = p.down
+    incs = [x for x, below in enumerate(down) if below & ((1 << x) - 1)]
+    decs = [y for y, below in enumerate(down) if below >> (y + 1)]
+    return not (incs and decs and incs[0] < decs[-1])
 
 
 def leaf_spans(t: Tree) -> set[tuple[int, int]]:

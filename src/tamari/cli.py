@@ -1,6 +1,7 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error,
+141 (128 + SIGPIPE) when the reader closes standard output early.
 Enumerations stream JSON lines and finish with a count trailer record.
 The size bound for exhaustive commands defaults to 6 and can be raised
 with ``--bound`` or the TAMARI_MAX_SIZE environment variable.
@@ -54,11 +55,26 @@ class UsageError(Exception):
     pass
 
 
+BROKEN_PIPE = 141
+
+
 def _default_bound() -> int:
-    return int(os.environ.get("TAMARI_MAX_SIZE", census.DEFAULT_BOUND))
+    raw = os.environ.get("TAMARI_MAX_SIZE")
+    if raw is None:
+        return census.DEFAULT_BOUND
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"TAMARI_MAX_SIZE must be an integer, got {raw!r}") from None
+
+
+def _check_size(n: int) -> None:
+    if n < 1:
+        raise UsageError(f"size must be at least 1, got {n}")
 
 
 def _check_bound(n: int, bound: int) -> None:
+    _check_size(n)
     if n > bound:
         raise UsageError(f"size {n} exceeds bound {bound} (raise with --bound)")
 
@@ -86,7 +102,7 @@ def cmd_enumerate(args, out) -> int:
 
 def cmd_classify(args, out) -> int:
     if args.poset is not None:
-        posets = [poset_from_json(args.poset)]
+        posets = [_parse_source("poset", args.poset)]
     else:
         if args.size is None:
             raise UsageError("classify needs --size or --poset")
@@ -117,32 +133,41 @@ def _interval_to_obj(interval: TamariInterval) -> dict:
 def _parse_source(kind: str, text: str):
     try:
         if kind == "poset":
-            return poset_from_json(text)
-        if kind == "interval":
+            value = poset_from_json(text)
+            n = value.n
+        elif kind == "interval":
             obj = json.loads(text)
             try:
-                return TamariInterval(
+                value = TamariInterval(
                     tree_from_obj(obj["lower"]), tree_from_obj(obj["upper"])
                 )
             except ValueError as exc:
                 raise UsageError(f"NotAnInterval: {exc}") from exc
-        if kind == "nct":
-            return nct_from_json(text)
-        if kind == "ncp":
+            n = value.size
+        elif kind == "nct":
+            value = nct_from_json(text)
+            n = value.n
+        elif kind == "ncp":
             obj = json.loads(text)
             if "lower" in obj:
-                return (
+                value = (
                     make_partition(obj["lower"]["blocks"]),
                     make_partition(obj["upper"]["blocks"]),
                 )
-            return make_partition(obj["blocks"])
+                n = value[0].n
+            else:
+                value = make_partition(obj["blocks"])
+                n = value.n
+        else:
+            raise UsageError(f"unknown source kind {kind}")
     except UsageError:
         raise
     except InvalidIntervalPoset as exc:
         raise UsageError(f"invalid poset: {exc}") from exc
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"ParseError: cannot parse {kind}: {exc}") from exc
-    raise UsageError(f"unknown source kind {kind}")
+    _check_size(n)
+    return value
 
 
 def _to_poset(kind: str, value) -> IntervalPoset:
@@ -212,6 +237,7 @@ def cmd_census(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
+    _check_bound(args.max_size, args.bound)
     failed = False
     for result in verify.run_checks(args.max_size):
         mark = "PASS" if result.passed else "FAIL"
@@ -245,10 +271,7 @@ def _dot_hasse(p: IntervalPoset) -> str:
 
 def cmd_export(args, out) -> int:
     text = args.input if args.input is not None else sys.stdin.read()
-    try:
-        p = poset_from_json(text)
-    except (InvalidIntervalPoset, KeyError, ValueError) as exc:
-        raise UsageError(f"ParseError: {exc}") from exc
+    p = _parse_source("poset", text)
     if args.format == "json":
         rendered = poset_to_json(p) + "\n"
     elif args.diagram == "hasse":
@@ -321,10 +344,18 @@ def main(argv: list[str] | None = None, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.bound is None:
-        args.bound = _default_bound()
     try:
-        return args.func(args, out)
+        if args.bound is None:
+            args.bound = _default_bound()
+        code = args.func(args, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        if out is sys.stdout:
+            # the interpreter flushes stdout again at exit; point it at
+            # devnull so that flush cannot raise a second time
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -117,9 +117,9 @@ def poset_to_nct(p: IntervalPoset) -> NoncrossingTree:
     if not classify.is_exceptional(p):
         raise ValueError("poset is not exceptional")
     edges = set()
-    for v in range(1, p.n + 1):
-        down = [x for x in range(1, p.n + 1) if x == v or (x, v) in p.relations]
-        edges.add((min(down) - 1, max(down)))
+    for v, below in enumerate(p.down, 1):
+        run = below | 1 << (v - 1)  # v and its down-set
+        edges.add(((run & -run).bit_length() - 1, run.bit_length()))
     return NoncrossingTree(p.n, frozenset(edges))
 
 

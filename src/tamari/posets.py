@@ -13,15 +13,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .trees import (
     BinaryTree,
     TamariInterval,
     Tree,
-    dec_relations,
+    dec_masks,
     enumerate_trees,
-    inc_relations,
-    tree_relations,
+    inc_masks,
+    mask_pairs,
+    relation_masks,
 )
 
 Pair = tuple[int, int]
@@ -50,22 +52,82 @@ class IntervalConditionViolated(InvalidIntervalPoset):
         )
 
 
+def _masks(n: int, pairs) -> list[int]:
+    """Up-set masks of ``pairs`` on {1..n}: bit y - 1 of entry x - 1 for x <| y."""
+    up = [0] * n
+    for (x, y) in pairs:
+        up[x - 1] |= 1 << (y - 1)
+    return up
+
+
+def _close(up: list[int]) -> list[int]:
+    """Warshall's transitive closure of up-set masks, in place; a vertex on
+    a cycle keeps no bit for itself."""
+    n = len(up)
+    for k in range(n):
+        above_k = up[k]
+        if above_k:
+            bit = 1 << k
+            for i in range(n):
+                if up[i] & bit:
+                    up[i] |= above_k
+    for i in range(n):
+        up[i] &= ~(1 << i)
+    return up
+
+
+def _transpose(up) -> list[int]:
+    """Down-set masks from up-set masks."""
+    down = [0] * len(up)
+    for i, mask in enumerate(up):
+        bit = 1 << i
+        while mask:
+            low = mask & -mask
+            down[low.bit_length() - 1] |= bit
+            mask ^= low
+    return down
+
+
+def _check_antisymmetric(up, down) -> None:
+    """Raise on x <| y <| x, smallest x first, then smallest y."""
+    for x, (above, below) in enumerate(zip(up, down), 1):
+        both = above & below
+        if both:
+            raise NotAPoset((x, (both & -both).bit_length(), x))
+
+
+def _check_axioms(up: tuple[int, ...]) -> None:
+    """Raise on a 2-cycle, then on the first pair x <| y in sorted order with
+    some b strictly between x and y not below y (smallest such b)."""
+    down = _transpose(up)
+    _check_antisymmetric(up, down)
+    # conditions (1) and (2) together say that each y and the elements
+    # below it fill a run of consecutive labels: one test per vertex
+    for y, below in enumerate(down):
+        run = below | (1 << y)
+        if run & (run + (run & -run)):
+            break
+    else:
+        return
+    for x, mask in enumerate(up, 1):
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            y = low.bit_length()
+            lo, hi = min(x, y), max(x, y)
+            gap = ((1 << (hi - 1)) - (1 << lo)) & ~down[y - 1]
+            if gap:
+                b = (gap & -gap).bit_length()
+                if x < y:
+                    raise IntervalConditionViolated(x, b, y, 1)
+                raise IntervalConditionViolated(y, b, x, 2)
+
+
 def transitive_closure(pairs: frozenset[Pair]) -> frozenset[Pair]:
-    succ: dict[int, set[int]] = {}
-    for (a, b) in pairs:
-        succ.setdefault(a, set()).add(b)
-    closure = set()
-    for start in succ:
-        seen: set[int] = set()
-        stack = list(succ[start])
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(succ.get(v, ()))
-        closure.update((start, v) for v in seen if v != start)
-    return frozenset(closure)
+    """Transitive closure of a relation on positive labels, reflexive pairs
+    omitted (a cycle yields both directions of each of its pairs)."""
+    n = max((max(pair) for pair in pairs), default=0)
+    return mask_pairs(_close(_masks(n, pairs)))
 
 
 @dataclass(frozen=True)
@@ -94,56 +156,85 @@ class RangeRelation:
         return frozenset(p for p in self.pairs if p[0] > p[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class IntervalPoset:
-    """A validated interval-poset; ``relations`` is the full transitive
-    relation, pairs (x, y) meaning x <| y, reflexive pairs omitted."""
+    """A validated interval-poset on {1..n}.
+
+    ``up[x - 1]`` is the up-set mask of x: bit ``y - 1`` is set iff x <| y,
+    reflexive bits omitted.  The pair views ``relations`` (the full
+    transitive relation, pairs (x, y) meaning x <| y), ``inc`` and ``dec``
+    are derived on demand and not stored.
+    """
 
     n: int
-    relations: frozenset[Pair]
+    up: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        _check_axioms(self.n, self.relations)
-        if transitive_closure(self.relations) != self.relations:
+    def __init__(self, n: int, relations) -> None:
+        up = tuple(_masks(n, RangeRelation(n, frozenset(relations)).pairs))
+        _check_axioms(up)
+        if tuple(_close(list(up))) != up:
             raise InvalidIntervalPoset("relation is not transitively closed")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "up", up)
+
+    def __repr__(self) -> str:
+        return f"IntervalPoset({self.n}, {sorted(self.relations)})"
+
+    @property
+    def relations(self) -> frozenset[Pair]:
+        return mask_pairs(self.up)
 
     @property
     def inc(self) -> frozenset[Pair]:
-        return frozenset(p for p in self.relations if p[0] < p[1])
+        return mask_pairs(inc_masks(self.up))
 
     @property
     def dec(self) -> frozenset[Pair]:
-        return frozenset(p for p in self.relations if p[0] > p[1])
+        return mask_pairs(dec_masks(self.up))
+
+    @property
+    def down(self) -> tuple[int, ...]:
+        """Down-set masks: bit ``x - 1`` of entry ``y - 1`` iff x <| y."""
+        return tuple(_transpose(self.up))
 
     def leq(self, a: int, b: int) -> bool:
-        return a == b or (a, b) in self.relations
+        if a == b:
+            return True
+        return 1 <= a <= self.n and 1 <= b and self.up[a - 1] >> (b - 1) & 1 == 1
 
     def sort_key(self) -> tuple:
-        return (self.n, sorted(self.inc), sorted(self.dec))
+        return (self.n, *_sorted_pairs(self.up))
 
     def as_relation(self) -> RangeRelation:
         return RangeRelation(self.n, self.relations)
 
 
-def _find_cycle(pairs: frozenset[Pair]) -> tuple[int, ...]:
-    for (a, b) in pairs:
-        if (b, a) in pairs:
-            return (a, b, a)
-    raise AssertionError("no 2-cycle found in non-antisymmetric closure")
+def _poset(up: tuple[int, ...]) -> IntervalPoset:
+    """An :class:`IntervalPoset` on masks that already passed validation."""
+    p = object.__new__(IntervalPoset)
+    object.__setattr__(p, "n", len(up))
+    object.__setattr__(p, "up", up)
+    return p
 
 
-def _check_axioms(n: int, closed: frozenset[Pair]) -> None:
-    if any((y, x) in closed for (x, y) in closed):
-        raise NotAPoset(_find_cycle(closed))
-    for (x, y) in sorted(closed):
-        if x < y:  # condition (1): a <| c forces b <| c for a < b < c
-            for b in range(x + 1, y):
-                if (b, y) not in closed:
-                    raise IntervalConditionViolated(x, b, y, 1)
-        else:  # condition (2): c <| a forces b <| a for a < c, a < b < c
-            for b in range(y + 1, x):
-                if (b, y) not in closed:
-                    raise IntervalConditionViolated(y, b, x, 2)
+def _validated(up: list[int]) -> IntervalPoset:
+    """Close ``up`` and check the axioms: the one validation path."""
+    closed = tuple(_close(up))
+    _check_axioms(closed)
+    return _poset(closed)
+
+
+def _sorted_pairs(up) -> tuple[list[Pair], list[Pair]]:
+    """The increasing and the decreasing pairs, each in lexicographic order."""
+    inc: list[Pair] = []
+    dec: list[Pair] = []
+    for x, mask in enumerate(up, 1):
+        while mask:
+            low = mask & -mask
+            y = low.bit_length()
+            (inc if y > x else dec).append((x, y))
+            mask ^= low
+    return inc, dec
 
 
 def validate(rel: RangeRelation) -> IntervalPoset:
@@ -152,7 +243,7 @@ def validate(rel: RangeRelation) -> IntervalPoset:
     Raises :class:`NotAPoset` or :class:`IntervalConditionViolated` with a
     minimal witness; on success returns the closed poset.
     """
-    return IntervalPoset(rel.n, transitive_closure(rel.pairs))
+    return _validated(_masks(rel.n, rel.pairs))
 
 
 def is_valid(rel: RangeRelation) -> bool:
@@ -170,87 +261,88 @@ def make_poset(n: int, pairs) -> IntervalPoset:
 
 def tree_poset(t: Tree) -> IntervalPoset:
     """The poset induced by a nonempty tree under its in-order labels."""
-    from .trees import size as tree_size
-
-    return IntervalPoset(tree_size(t), tree_relations(t))
+    return _validated(list(relation_masks(t)))
 
 
 def from_interval(interval: TamariInterval) -> IntervalPoset:
     """Dec(lower) | Inc(upper); the Chatel-Pons encoding of the interval."""
-    pairs = dec_relations(interval.lower) | inc_relations(interval.upper)
-    return validate(RangeRelation(interval.size, pairs))
+    lower = dec_masks(relation_masks(interval.lower))
+    upper = inc_masks(relation_masks(interval.upper))
+    return _validated([a | b for a, b in zip(lower, upper)])
 
 
-def _forest(n: int, pairs: frozenset[Pair]) -> tuple[dict[int, list[int]], list[int]]:
-    """Hasse forest of the relation restricted to ``pairs``.
-
-    Returns (children by parent, roots), children and roots sorted
-    ascending.  ``pairs`` must be all-increasing or all-decreasing.
-    """
-    children: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    roots = []
-    for v in range(1, n + 1):
-        ups = [y for (x, y) in pairs if x == v]
-        if not ups:
-            roots.append(v)
-            continue
-        # the elements above v form a chain; the cover is its minimum
-        parent = next(y for y in ups if all(u == y or (y, u) in pairs for u in ups))
-        children[parent].append(v)
-    for v in children:
-        children[v].sort()
-    return children, roots
+def _lower_tree(dec) -> Tree:
+    # decreasing forest -> lower tree: son becomes right son, left brother
+    # becomes left son.  The cover of x is the largest label above it.
+    n = len(dec)
+    kids: list[list[int]] = [[] for _ in range(n + 1)]  # kids[0]: the roots
+    for x, mask in enumerate(dec, 1):
+        kids[mask.bit_length()].append(x)
+    sub: list[Tree] = [None] * (n + 1)
+    for v in range(n, -1, -1):  # sons carry larger labels
+        acc = None
+        for son in kids[v]:
+            acc = BinaryTree(acc, sub[son])
+        sub[v] = acc
+    return sub[0]
 
 
-def _binarize_inc(roots: list[int], children: dict[int, list[int]]) -> Tree:
-    # increasing forest -> upper tree: son becomes left son,
-    # right brother becomes right son
-    if not roots:
-        return None
-    first, rest = roots[0], roots[1:]
-    return BinaryTree(
-        _binarize_inc(children[first], children),
-        _binarize_inc(rest, children),
-    )
-
-
-def _binarize_dec(roots: list[int], children: dict[int, list[int]]) -> Tree:
-    # decreasing forest -> lower tree: son becomes right son,
-    # left brother becomes left son
-    if not roots:
-        return None
-    last, rest = roots[-1], roots[:-1]
-    return BinaryTree(
-        _binarize_dec(rest, children),
-        _binarize_dec(children[last], children),
-    )
+def _upper_tree(inc) -> Tree:
+    # increasing forest -> upper tree: son becomes left son, right brother
+    # becomes right son.  The cover of x is the smallest label above it.
+    n = len(inc)
+    kids: list[list[int]] = [[] for _ in range(n + 1)]  # kids[0]: the roots
+    for x, mask in enumerate(inc, 1):
+        kids[(mask & -mask).bit_length()].append(x)
+    sub: list[Tree] = [None] * (n + 1)
+    for v in (*range(1, n + 1), 0):  # sons carry smaller labels
+        acc = None
+        for son in reversed(kids[v]):
+            acc = BinaryTree(sub[son], acc)
+        sub[v] = acc
+    return sub[0]
 
 
 def to_interval(p: IntervalPoset) -> TamariInterval:
     """Inverse of :func:`from_interval`."""
-    dec_children, dec_roots = _forest(p.n, p.dec)
-    inc_children, inc_roots = _forest(p.n, p.inc)
-    lower = _binarize_dec(dec_roots, dec_children)
-    upper = _binarize_inc(inc_roots, inc_children)
-    return TamariInterval(lower, upper)
+    return TamariInterval(_lower_tree(dec_masks(p.up)), _upper_tree(inc_masks(p.up)))
+
+
+def _pack(masks) -> int:
+    """Masks of one tree in one int, for subset tests between trees."""
+    n = len(masks)
+    return sum(mask << (i * n) for i, mask in enumerate(masks))
+
+
+@lru_cache(maxsize=None)
+def _tree_tables(n: int) -> tuple[tuple, tuple, tuple]:
+    """For each tree of ``enumerate_trees(n)``: its Dec masks, its Inc masks
+    and its packed Dec masks.  Each tree is walked once per size."""
+    decs, incs, packed = [], [], []
+    for t in enumerate_trees(n):
+        up = relation_masks(t)
+        decs.append(dec_masks(up))
+        incs.append(inc_masks(up))
+        packed.append(_pack(decs[-1]))
+    return tuple(decs), tuple(incs), tuple(packed)
 
 
 def enumerate_interval_posets(n: int) -> list[IntervalPoset]:
     """All interval-posets of size n, ordered lexicographically on the
     (sorted inc, sorted dec) pair lists.
 
-    Generated by mapping every comparable tree pair through
-    :func:`from_interval`; this doubles as the oracle for the counts.
+    Generated from every comparable tree pair (Dec inclusion on packed
+    masks) as Dec(lower) | Inc(upper), each validated once; this doubles
+    as the oracle for the counts.
     """
     if n < 1:
         raise ValueError("size must be at least 1")
-    trees = enumerate_trees(n)
-    decs = [dec_relations(t) for t in trees]
+    decs, incs, packed = _tree_tables(n)
     out = []
-    for i, lower in enumerate(trees):
-        for j, upper in enumerate(trees):
-            if decs[i] <= decs[j]:
-                out.append(from_interval(TamariInterval(lower, upper)))
+    for lower, low in zip(decs, packed):
+        for upper, high in zip(incs, packed):
+            if low & ~high == 0:
+                out.append(_validated([a | b for a, b in zip(lower, upper)]))
     out.sort(key=IntervalPoset.sort_key)
     return out
 
@@ -266,9 +358,12 @@ def mirror_poset(p: IntervalPoset) -> IntervalPoset:
 def interval_members(p: IntervalPoset) -> list[Tree]:
     """All trees lying in the interval encoded by ``p``, by Dec-inclusion."""
     interval = to_interval(p)
-    low, high = dec_relations(interval.lower), dec_relations(interval.upper)
+    low = _pack(dec_masks(relation_masks(interval.lower)))
+    high = _pack(dec_masks(relation_masks(interval.upper)))
+    packed = _tree_tables(p.n)[2]
     return [
-        t for t in enumerate_trees(p.n) if low <= dec_relations(t) <= high
+        t for t, dec in zip(enumerate_trees(p.n), packed)
+        if low & ~dec == 0 and dec & ~high == 0
     ]
 
 
@@ -277,25 +372,23 @@ def linear_extensions(n: int, pairs: frozenset[Pair]) -> list[tuple[int, ...]]:
 
     Raises :class:`NotAPoset` if the closure has a cycle.
     """
-    closed = transitive_closure(pairs)
-    if any((y, x) in closed for (x, y) in closed):
-        raise NotAPoset(_find_cycle(closed))
-    below: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
-    for (x, y) in closed:
-        below[y].add(x)
+    up = _close(_masks(n, pairs))
+    down = _transpose(up)
+    _check_antisymmetric(up, down)
     out: list[tuple[int, ...]] = []
 
-    def extend(prefix: list[int], remaining: set[int]) -> None:
-        if not remaining:
+    def extend(prefix: list[int], placed: int) -> None:
+        if len(prefix) == n:
             out.append(tuple(prefix))
             return
-        for v in sorted(remaining):
-            if below[v] <= set(prefix):
+        for v in range(1, n + 1):
+            bit = 1 << (v - 1)
+            if not placed & bit and down[v - 1] & ~placed == 0:
                 prefix.append(v)
-                extend(prefix, remaining - {v})
+                extend(prefix, placed | bit)
                 prefix.pop()
 
-    extend([], set(range(1, n + 1)))
+    extend([], 0)
     return out
 
 
@@ -303,10 +396,14 @@ def linear_extensions(n: int, pairs: frozenset[Pair]) -> list[tuple[int, ...]]:
 
 def poset_to_obj(p: IntervalPoset | RangeRelation) -> dict:
     # pairs mean first <| second in both lists
+    if isinstance(p, IntervalPoset):
+        inc, dec = _sorted_pairs(p.up)
+    else:
+        inc, dec = sorted(p.inc), sorted(p.dec)
     return {
         "size": p.n,
-        "inc": sorted([a, b] for (a, b) in p.inc),
-        "dec": sorted([b, a] for (b, a) in p.dec),
+        "inc": [[a, b] for (a, b) in inc],
+        "dec": [[a, b] for (a, b) in dec],
     }
 
 

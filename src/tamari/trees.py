@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Optional
 
 Tree = Optional["BinaryTree"]
 
@@ -28,9 +28,15 @@ Y = BinaryTree()  # the unique tree of size 1
 
 
 def size(t: Tree) -> int:
-    if t is None:
-        return 0
-    return 1 + size(t.left) + size(t.right)
+    count = 0
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if node is not None:
+            count += 1
+            stack.append(node.left)
+            stack.append(node.right)
+    return count
 
 
 def left_comb(n: int) -> Tree:
@@ -66,45 +72,87 @@ def enumerate_trees(n: int) -> tuple[Tree, ...]:
     return tuple(out)
 
 
-def _relations(t: Tree, lo: int) -> tuple[int, frozenset[tuple[int, int]]]:
-    """Relations i <| j of the subtree ``t`` whose in-order labels start at ``lo``.
-
-    Returns (next unused label, set of pairs (i, j) meaning i <| j).
-    """
+def relation_masks(t: Tree) -> tuple[int, ...]:
+    """The induced relation of ``t`` as up-set masks: bit ``j - 1`` of entry
+    ``i - 1`` is set iff vertex i lies strictly inside the subtree rooted at
+    j.  One iterative in-order walk; the subtree of j covers the contiguous
+    labels of its span, so its descendant mask is a run of ones."""
     if t is None:
-        return lo, frozenset()
-    mid, left_rel = _relations(t.left, lo)
-    hi, right_rel = _relations(t.right, mid + 1)
-    here = frozenset((i, mid) for i in range(lo, hi) if i != mid)
-    return hi, left_rel | right_rel | here
+        raise ValueError("the empty tree induces no labelled poset")
+    spans: list[tuple[int, int, int]] = []  # (label, first, last)
+    # frames: (node, first label of its subtree, own label or 0 before the
+    # left subtree is done)
+    stack: list[tuple[BinaryTree, int, int]] = [(t, 1, 0)]
+    nxt = 1  # next unused label
+    while stack:
+        node, lo, mid = stack.pop()
+        if mid == 0:
+            stack.append((node, lo, -1))
+            if node.left is not None:
+                stack.append((node.left, nxt, 0))
+        elif mid == -1:
+            mid = nxt
+            nxt += 1
+            stack.append((node, lo, mid))
+            if node.right is not None:
+                stack.append((node.right, nxt, 0))
+        else:
+            spans.append((mid, lo, nxt - 1))
+    up = [0] * (nxt - 1)
+    for (j, lo, hi) in spans:
+        bit = 1 << (j - 1)
+        for i in range(lo - 1, hi):
+            up[i] |= bit
+        up[j - 1] ^= bit
+    return tuple(up)
+
+
+def mask_pairs(up) -> frozenset[tuple[int, int]]:
+    """Pairs (i, j) meaning i <| j of the up-set masks ``up``."""
+    pairs = []
+    for i, mask in enumerate(up, 1):
+        while mask:
+            low = mask & -mask
+            pairs.append((i, low.bit_length()))
+            mask ^= low
+    return frozenset(pairs)
+
+
+def dec_masks(up) -> tuple[int, ...]:
+    """The decreasing part of up-set masks: entry i - 1 keeps the j < i."""
+    return tuple(mask & ((1 << i) - 1) for i, mask in enumerate(up))
+
+
+def inc_masks(up) -> tuple[int, ...]:
+    """The increasing part of up-set masks: entry i - 1 keeps the j > i."""
+    return tuple(mask >> (i + 1) << (i + 1) for i, mask in enumerate(up))
 
 
 def tree_relations(t: Tree) -> frozenset[tuple[int, int]]:
     """The induced relation of ``t``: (i, j) present iff vertex i lies in the
     subtree rooted at j.  Reflexive pairs are omitted."""
-    if t is None:
-        raise ValueError("the empty tree induces no labelled poset")
-    _, rel = _relations(t, 1)
-    return rel
+    return mask_pairs(relation_masks(t))
 
 
 def dec_relations(t: Tree) -> frozenset[tuple[int, int]]:
     """Decreasing relations of ``t``: pairs (b, a) with a < b and b <| a."""
-    return frozenset((x, y) for (x, y) in tree_relations(t) if x > y)
+    return mask_pairs(dec_masks(relation_masks(t)))
 
 
 def inc_relations(t: Tree) -> frozenset[tuple[int, int]]:
     """Increasing relations of ``t``: pairs (a, b) with a < b and a <| b."""
-    return frozenset((x, y) for (x, y) in tree_relations(t) if x < y)
+    return mask_pairs(inc_masks(relation_masks(t)))
 
 
 def tamari_leq(t1: Tree, t2: Tree) -> bool:
     """Tamari comparison via inclusion of decreasing relations."""
     if size(t1) != size(t2):
         raise ValueError("trees must have equal size")
-    if size(t1) == 0:
+    if t1 is None:
         return True
-    return dec_relations(t1) <= dec_relations(t2)
+    low = dec_masks(relation_masks(t1))
+    high = dec_masks(relation_masks(t2))
+    return all(a & ~b == 0 for a, b in zip(low, high))
 
 
 def covers(t: Tree) -> list[Tree]:
@@ -218,11 +266,3 @@ def tree_to_json(t: Tree) -> str:
 def tree_from_json(text: str) -> Tree:
     return tree_from_obj(json.loads(text)["tree"])
 
-
-def iter_subtrees(t: Tree) -> Iterator[Tree]:
-    """All nonempty subtrees of ``t``, including ``t`` itself."""
-    if t is None:
-        return
-    yield t
-    yield from iter_subtrees(t.left)
-    yield from iter_subtrees(t.right)

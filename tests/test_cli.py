@@ -1,11 +1,15 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import tamari
 from tamari import verify
-from tamari.cli import main
+from tamari.cli import BROKEN_PIPE, main
 from tamari.posets import (
     enumerate_interval_posets,
     poset_from_json,
@@ -267,3 +271,74 @@ class TestExitCodes:
     def test_help_is_success(self, capsys):
         assert main(["--help"], io.StringIO()) == 0
         assert "enumerate" in capsys.readouterr().out
+
+
+def one_error_line(capsys):
+    err = capsys.readouterr().err
+    return len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+class TestSizeInput:
+    def test_enumerate_size_zero(self, capsys):
+        code, _ = run(["enumerate", "--size", "0"])
+        assert code == 2
+        assert one_error_line(capsys)
+
+    def test_env_bound_not_an_integer(self, monkeypatch, capsys):
+        monkeypatch.setenv("TAMARI_MAX_SIZE", "abc")
+        code, _ = run(["enumerate", "--size", "2"])
+        assert code == 2
+        assert one_error_line(capsys)
+
+    def test_classify_poset_of_size_zero(self, capsys):
+        code, text = run(["classify", "--poset", '{"size":0,"inc":[],"dec":[]}'])
+        assert code == 2
+        assert text == ""
+        assert one_error_line(capsys)
+
+    @pytest.mark.parametrize("kind,blob", [
+        ("interval", '{"lower": null, "upper": null}'),
+        ("nct", '{"n": 0, "edges": []}'),
+        ("ncp", '{"blocks": []}'),
+    ])
+    def test_convert_input_of_size_zero(self, capsys, kind, blob):
+        code, text = run(["convert", "--from", kind, "--to", "poset", "--input", blob])
+        assert code == 2
+        assert text == ""
+        assert one_error_line(capsys)
+
+    def test_verify_respects_bound(self, capsys):
+        code, text = run(["--bound", "2", "verify", "--max-size", "5"])
+        assert code == 2
+        assert text == ""
+        assert one_error_line(capsys)
+
+
+class ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestBrokenPipe:
+    def test_closed_output_exits_quietly(self, capsys):
+        assert main(["enumerate", "--size", "3"], ClosedPipe()) == BROKEN_PIPE
+        assert capsys.readouterr().err == ""
+
+    def test_reader_closing_a_real_pipe(self):
+        # more output than a pipe buffers, so the writer meets the closed end
+        src = os.path.dirname(os.path.dirname(tamari.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tamari.cli", "enumerate", "--size", "6"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == BROKEN_PIPE
+        assert json.loads(first)["size"] == 6
+        assert err == b""

@@ -13,6 +13,7 @@ from tamari.trees import (
     inc_relations,
     left_comb,
     mirror,
+    relation_masks,
     right_comb,
     size,
     tamari_leq,
@@ -56,6 +57,19 @@ class TestEnumeration:
         # left-subtree size 0 comes first
         assert enumerate_trees(3)[0] == right_comb(3)
         assert enumerate_trees(3)[-1] == left_comb(3)
+
+
+class TestDeepTrees:
+    # deeper than the interpreter's default recursion limit of 1000
+    def test_size_of_a_deep_comb(self):
+        assert size(left_comb(3000)) == 3000
+        assert size(right_comb(3000)) == 3000
+
+    def test_relation_masks_of_a_deep_comb(self):
+        # in a left comb every vertex lies below every larger label
+        n = 1500
+        up = relation_masks(left_comb(n))
+        assert up == tuple((1 << n) - (1 << i) for i in range(1, n + 1))
 
 
 class TestInducedPoset:
