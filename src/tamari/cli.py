@@ -164,7 +164,8 @@ def _parse_source(kind: str, text: str):
         raise
     except InvalidIntervalPoset as exc:
         raise UsageError(f"invalid poset: {exc}") from exc
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
+        # RecursionError: JSON nested deeper than json.loads can read
         raise UsageError(f"ParseError: cannot parse {kind}: {exc}") from exc
     _check_size(n)
     return value

@@ -66,19 +66,45 @@ class NoncrossingTree:
 
 def enumerate_nct(n: int) -> list[NoncrossingTree]:
     """All noncrossing trees in the based (n+1)-gon, canonically ordered by
-    sorted edge list; there are Fuss-Catalan(n) of them."""
+    sorted edge list; there are Fuss-Catalan(n) of them.
+
+    Structural generation over convex vertex ranges lo..hi (Noy 1998;
+    Flajolet-Noy 1999), in time proportional to the output:
+
+    - ``with_edge[lo, hi]`` holds the trees on lo..hi that contain the
+      edge (lo, hi).  Removing that edge leaves a tree on lo..k and one on
+      k+1..hi, for some lo <= k < hi.
+    - ``every[lo, hi]`` holds all trees on lo..hi.  A tree without the edge
+      (lo, hi) has a smallest vertex m, lo < m < hi, that no edge passes
+      over; it is a tree on lo..m that contains (lo, m) joined at m to any
+      tree on m..hi.
+
+    Each tree arises exactly once.  Both tables live only for this call.
+    """
     if n < 1:
         raise ValueError("size must be at least 1")
-    chords = [(a, b) for a in range(n + 1) for b in range(a + 1, n + 1)]
-    out = []
-    for combo in itertools.combinations(chords, n):
-        edges = frozenset(combo)
-        if any(_crossing(e1, e2) for e1, e2 in itertools.combinations(combo, 2)):
-            continue
-        if _is_tree(n, edges):
-            out.append(NoncrossingTree(n, edges))
-    out.sort(key=NoncrossingTree.sort_key)
-    return out
+    Trees = list[tuple[Chord, ...]]  # each tree as a tuple of its edges
+    every: dict[Chord, Trees] = {(v, v): [()] for v in range(n + 1)}
+    with_edge: dict[Chord, Trees] = {}
+    for span in range(1, n + 1):
+        for lo in range(n + 1 - span):
+            hi = lo + span
+            edge = ((lo, hi),)
+            with_edge[lo, hi] = [
+                edge + left + right
+                for k in range(lo, hi)
+                for left in every[lo, k]
+                for right in every[k + 1, hi]
+            ]
+            every[lo, hi] = with_edge[lo, hi] + [
+                left + right
+                for m in range(lo + 1, hi)
+                for left in with_edge[lo, m]
+                for right in every[m, hi]
+            ]
+    # sorted edge tuples compare as NoncrossingTree.sort_key does
+    ordered = sorted(tuple(sorted(edges)) for edges in every[0, n])
+    return [NoncrossingTree(n, frozenset(edges)) for edges in ordered]
 
 
 def edge_labels(t: NoncrossingTree) -> dict[Chord, int]:

@@ -146,12 +146,14 @@ def inc_relations(t: Tree) -> frozenset[tuple[int, int]]:
 
 def tamari_leq(t1: Tree, t2: Tree) -> bool:
     """Tamari comparison via inclusion of decreasing relations."""
-    if size(t1) != size(t2):
-        raise ValueError("trees must have equal size")
-    if t1 is None:
+    if t1 is None or t2 is None:
+        if t1 is not t2:
+            raise ValueError("trees must have equal size")
         return True
-    low = dec_masks(relation_masks(t1))
-    high = dec_masks(relation_masks(t2))
+    up1, up2 = relation_masks(t1), relation_masks(t2)  # one mask per vertex
+    if len(up1) != len(up2):
+        raise ValueError("trees must have equal size")
+    low, high = dec_masks(up1), dec_masks(up2)
     return all(a & ~b == 0 for a, b in zip(low, high))
 
 
@@ -253,10 +255,23 @@ def tree_to_obj(t: Tree):
 
 
 def tree_from_obj(obj) -> Tree:
-    if obj is None:
-        return None
-    left, right = obj
-    return BinaryTree(tree_from_obj(left), tree_from_obj(right))
+    """Inverse of :func:`tree_to_obj`; iterative, so depth is unlimited."""
+    built: list[Tree] = []
+    # frames: (obj, True once both children are on ``built``)
+    stack: list[tuple[object, bool]] = [(obj, False)]
+    while stack:
+        item, children_built = stack.pop()
+        if children_built:
+            right = built.pop()
+            built.append(BinaryTree(built.pop(), right))
+        elif item is None:
+            built.append(None)
+        else:
+            left, right = item
+            stack.append((item, True))
+            stack.append((right, False))
+            stack.append((left, False))
+    return built[0]
 
 
 def tree_to_json(t: Tree) -> str:

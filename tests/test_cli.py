@@ -314,6 +314,28 @@ class TestSizeInput:
         assert one_error_line(capsys)
 
 
+class TestDeepInput:
+    # nested deeper than json.loads can read
+    DEPTH = 5000
+
+    def test_convert_deep_interval(self, capsys):
+        comb = "[null, " * self.DEPTH + "null" + "]" * self.DEPTH
+        blob = f'{{"lower": {comb}, "upper": {comb}}}'
+        code, text = run(["convert", "--from", "interval", "--to", "poset",
+                          "--input", blob])
+        assert code == 2
+        assert text == ""
+        assert one_error_line(capsys)
+
+    def test_classify_deep_poset(self, capsys):
+        nested = "[" * self.DEPTH + "]" * self.DEPTH
+        blob = f'{{"size": 3, "inc": {nested}, "dec": []}}'
+        code, text = run(["classify", "--poset", blob])
+        assert code == 2
+        assert text == ""
+        assert one_error_line(capsys)
+
+
 class ClosedPipe:
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")

@@ -50,7 +50,11 @@ class TestNoncrossingTree:
         with pytest.raises(ValueError):
             NoncrossingTree(3, frozenset({(0, 1), (1, 2)}))
 
-    @pytest.mark.parametrize("n,count", [(1, 1), (2, 3), (3, 12), (4, 55), (5, 273)])
+    @pytest.mark.parametrize("n,count", [
+        (1, 1), (2, 3), (3, 12), (4, 55), (5, 273), (6, 1428), (7, 7752),
+        (8, 43263),
+        pytest.param(9, 246675, marks=pytest.mark.slow),  # about 8 s
+    ])
     def test_counts(self, n, count):
         trees = enumerate_nct(n)
         assert len(trees) == count == fuss_catalan(n)

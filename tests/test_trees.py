@@ -18,6 +18,7 @@ from tamari.trees import (
     size,
     tamari_leq,
     tree_from_json,
+    tree_from_obj,
     tree_from_text,
     tree_relations,
     tree_to_json,
@@ -65,6 +66,17 @@ class TestDeepTrees:
         assert size(left_comb(3000)) == 3000
         assert size(right_comb(3000)) == 3000
 
+    def test_tree_from_obj_of_a_deep_comb(self):
+        obj = None
+        for _ in range(3000):
+            obj = [obj, None]
+        t = tree_from_obj(obj)
+        assert size(t) == 3000
+        for _ in range(3000):
+            assert t.right is None
+            t = t.left
+        assert t is None
+
     def test_relation_masks_of_a_deep_comb(self):
         # in a left comb every vertex lies below every larger label
         n = 1500
@@ -105,8 +117,13 @@ class TestTamariOrder:
             assert tamari_leq(t, t)
 
     def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            tamari_leq(Y, left_comb(2))
+        for t1, t2 in [(Y, left_comb(2)), (left_comb(3), right_comb(2)),
+                       (right_comb(2), left_comb(3)), (None, Y), (Y, None)]:
+            with pytest.raises(ValueError, match="trees must have equal size"):
+                tamari_leq(t1, t2)
+
+    def test_empty_trees(self):
+        assert tamari_leq(None, None)
 
     def test_combs_are_extreme(self):
         for t in enumerate_trees(4):
