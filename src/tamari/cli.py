@@ -193,7 +193,13 @@ def _from_poset(kind: str, p: IntervalPoset) -> str:
     if kind == "poset":
         return poset_to_json(p)
     if kind == "interval":
-        return json.dumps(_interval_to_obj(to_interval(p)))
+        try:
+            return json.dumps(_interval_to_obj(to_interval(p)))
+        except RecursionError as exc:
+            # nested arrays deeper than json.dumps can write
+            raise UsageError(
+                f"interval of size {p.n} is nested too deep to encode as JSON"
+            ) from exc
     if kind == "nct":
         try:
             return nct_to_json(poset_to_nct(p))

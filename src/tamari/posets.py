@@ -265,10 +265,12 @@ def tree_poset(t: Tree) -> IntervalPoset:
 
 
 def from_interval(interval: TamariInterval) -> IntervalPoset:
-    """Dec(lower) | Inc(upper); the Chatel-Pons encoding of the interval."""
-    lower = dec_masks(relation_masks(interval.lower))
-    upper = inc_masks(relation_masks(interval.upper))
-    return _validated([a | b for a, b in zip(lower, upper)])
+    """Dec(lower) | Inc(upper); the Chatel-Pons encoding of the interval,
+    read from the masks its order check walked."""
+    lower, upper = interval.masks
+    if not lower:
+        raise ValueError("the empty tree induces no labelled poset")
+    return _validated([a | b for a, b in zip(dec_masks(lower), inc_masks(upper))])
 
 
 def _lower_tree(dec) -> Tree:
@@ -333,10 +335,16 @@ def enumerate_interval_posets(n: int) -> list[IntervalPoset]:
 
     Generated from every comparable tree pair (Dec inclusion on packed
     masks) as Dec(lower) | Inc(upper), each validated once; this doubles
-    as the oracle for the counts.
+    as the oracle for the counts.  Each size is enumerated once per
+    process; every call returns a fresh list.
     """
     if n < 1:
         raise ValueError("size must be at least 1")
+    return list(_enumerate(n))
+
+
+@lru_cache(maxsize=None)
+def _enumerate(n: int) -> tuple[IntervalPoset, ...]:
     decs, incs, packed = _tree_tables(n)
     out = []
     for lower, low in zip(decs, packed):
@@ -344,7 +352,7 @@ def enumerate_interval_posets(n: int) -> list[IntervalPoset]:
             if low & ~high == 0:
                 out.append(_validated([a | b for a, b in zip(lower, upper)]))
     out.sort(key=IntervalPoset.sort_key)
-    return out
+    return tuple(out)
 
 
 def mirror_poset(p: IntervalPoset) -> IntervalPoset:
@@ -357,9 +365,8 @@ def mirror_poset(p: IntervalPoset) -> IntervalPoset:
 
 def interval_members(p: IntervalPoset) -> list[Tree]:
     """All trees lying in the interval encoded by ``p``, by Dec-inclusion."""
-    interval = to_interval(p)
-    low = _pack(dec_masks(relation_masks(interval.lower)))
-    high = _pack(dec_masks(relation_masks(interval.upper)))
+    lower, upper = to_interval(p).masks
+    low, high = _pack(dec_masks(lower)), _pack(dec_masks(upper))
     packed = _tree_tables(p.n)[2]
     return [
         t for t, dec in zip(enumerate_trees(p.n), packed)

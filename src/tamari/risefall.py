@@ -9,7 +9,15 @@ the result need not be a poset; validity is a separate, testable step.
 from __future__ import annotations
 
 from .classify import stat
-from .posets import IntervalPoset, Pair, RangeRelation, validate
+from .posets import (
+    IntervalPoset,
+    InvalidIntervalPoset,
+    Pair,
+    RangeRelation,
+    _validated,
+    validate,
+)
+from .trees import dec_masks, inc_masks
 
 
 def _as_relation(p: IntervalPoset | RangeRelation) -> RangeRelation:
@@ -60,12 +68,14 @@ def iterated_rise_valid(p: IntervalPoset, k_max: int | None = None) -> bool:
     right one step per rise."""
     if k_max is None:
         k_max = p.n + 1
-    rel = p.as_relation()
+    # the risen relation stays unclosed between rises, as ``rise_k`` keeps it
+    dec, inc = list(dec_masks(p.up)), list(inc_masks(p.up))
     for _ in range(k_max):
-        rel = rise(rel)
+        dec.append(0)
+        inc = [0] + [mask << 1 for mask in inc]
         try:
-            validate(rel)
-        except ValueError:
+            _validated([d | i for d, i in zip(dec, inc)])
+        except InvalidIntervalPoset:
             return False
     return True
 

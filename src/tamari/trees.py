@@ -9,11 +9,12 @@ labelling), and all relation-producing operations use those labels.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
 Tree = Optional["BinaryTree"]
+Masks = tuple[int, ...]  # up-set masks, one per vertex
 
 
 @dataclass(frozen=True)
@@ -144,17 +145,23 @@ def inc_relations(t: Tree) -> frozenset[tuple[int, int]]:
     return mask_pairs(inc_masks(relation_masks(t)))
 
 
-def tamari_leq(t1: Tree, t2: Tree) -> bool:
-    """Tamari comparison via inclusion of decreasing relations."""
+def _compared(t1: Tree, t2: Tree) -> tuple[bool, tuple[Masks, Masks]]:
+    """Whether t1 <= t2 by inclusion of decreasing relations, and the
+    relation masks of both trees (empty for empty trees); one walk each."""
     if t1 is None or t2 is None:
         if t1 is not t2:
             raise ValueError("trees must have equal size")
-        return True
+        return True, ((), ())
     up1, up2 = relation_masks(t1), relation_masks(t2)  # one mask per vertex
     if len(up1) != len(up2):
         raise ValueError("trees must have equal size")
     low, high = dec_masks(up1), dec_masks(up2)
-    return all(a & ~b == 0 for a, b in zip(low, high))
+    return all(a & ~b == 0 for a, b in zip(low, high)), (up1, up2)
+
+
+def tamari_leq(t1: Tree, t2: Tree) -> bool:
+    """Tamari comparison via inclusion of decreasing relations."""
+    return _compared(t1, t2)[0]
 
 
 def covers(t: Tree) -> list[Tree]:
@@ -197,18 +204,25 @@ def mirror(t: Tree) -> Tree:
 
 @dataclass(frozen=True)
 class TamariInterval:
-    """An interval [lower, upper] of the Tamari lattice."""
+    """An interval [lower, upper] of the Tamari lattice.
+
+    ``masks`` keeps the relation masks of both bounds, walked once by the
+    order check; it takes no part in equality, hashing or repr.
+    """
 
     lower: Tree
     upper: Tree
+    masks: tuple[Masks, Masks] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not tamari_leq(self.lower, self.upper):
+        leq, masks = _compared(self.lower, self.upper)
+        if not leq:
             raise ValueError("lower bound is not below upper bound")
+        object.__setattr__(self, "masks", masks)
 
     @property
     def size(self) -> int:
-        return size(self.lower)
+        return len(self.masks[0])
 
 
 # -- serialization ----------------------------------------------------------
@@ -248,10 +262,22 @@ def tree_from_text(text: str) -> Tree:
 
 
 def tree_to_obj(t: Tree):
-    """Nested-array form; null is a leaf."""
-    if t is None:
-        return None
-    return [tree_to_obj(t.left), tree_to_obj(t.right)]
+    """Nested-array form; null is a leaf.  Iterative, so depth is unlimited."""
+    built: list = []
+    # frames: (node, True once both children are on ``built``)
+    stack: list[tuple[Tree, bool]] = [(t, False)]
+    while stack:
+        node, children_built = stack.pop()
+        if children_built:
+            right = built.pop()
+            built.append([built.pop(), right])
+        elif node is None:
+            built.append(None)
+        else:
+            stack.append((node, True))
+            stack.append((node.right, False))
+            stack.append((node.left, False))
+    return built[0]
 
 
 def tree_from_obj(obj) -> Tree:

@@ -1,21 +1,28 @@
+import contextlib
 import io
 import json
 import os
 import random
 import subprocess
 import sys
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tamari
 from tamari import verify
 from tamari.cli import BROKEN_PIPE, main
+from tamari.noncrossing import enumerate_ncp, enumerate_nct, ncp_to_json, nct_to_json
 from tamari.posets import (
     enumerate_interval_posets,
     poset_from_json,
     poset_to_json,
+    poset_to_obj,
+    to_interval,
     tree_poset,
 )
+from tamari.trees import tree_to_obj
 
 
 def run(argv):
@@ -327,6 +334,29 @@ class TestDeepInput:
         assert text == ""
         assert one_error_line(capsys)
 
+    @staticmethod
+    def chain(n):
+        return json.dumps({"size": n, "inc": [[i, i + 1] for i in range(1, n)],
+                           "dec": []})
+
+    def test_convert_deep_interval_output(self, capsys):
+        # a valid chain whose upper tree is a 1,200-deep comb
+        code, text = run(["convert", "--from", "poset", "--to", "interval",
+                          "--input", self.chain(1200)])
+        assert code == 2
+        assert text == ""
+        assert one_error_line(capsys)
+
+    def test_convert_chain_interval_output(self):
+        code, text = run(["convert", "--from", "poset", "--to", "interval",
+                          "--input", self.chain(300)])
+        assert code == 0
+        blob = json.loads(text)
+        code, text = run(["convert", "--from", "interval", "--to", "poset",
+                          "--input", json.dumps(blob)])
+        assert code == 0
+        assert poset_from_json(text) == poset_from_json(self.chain(300))
+
     def test_classify_deep_poset(self, capsys):
         nested = "[" * self.DEPTH + "]" * self.DEPTH
         blob = f'{{"size": 3, "inc": {nested}, "dec": []}}'
@@ -364,3 +394,95 @@ class TestBrokenPipe:
         assert proc.wait(timeout=60) == BROKEN_PIPE
         assert json.loads(first)["size"] == 6
         assert err == b""
+
+
+# -- fuzzing the exit-code contract -------------------------------------------
+
+KINDS = ("poset", "interval", "nct", "ncp")
+KEYS = ("size", "inc", "dec", "lower", "upper", "n", "edges", "blocks")
+small_ints = st.integers(-2, 9)
+json_values = st.recursive(
+    st.none() | st.booleans() | small_ints | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=3), inner,
+                      max_size=4),
+    max_leaves=12,
+)
+pairs = st.lists(st.lists(small_ints, min_size=2, max_size=2), max_size=8)
+tree_objs = st.recursive(
+    st.none(), lambda inner: st.lists(inner, min_size=2, max_size=2),
+    max_leaves=6,
+)
+blocks = st.fixed_dictionaries(
+    {"blocks": st.lists(st.lists(small_ints, max_size=4), max_size=4)}
+)
+# documents of the right shape with random contents, per input kind
+SHAPED = {
+    "poset": st.fixed_dictionaries({"size": small_ints, "inc": pairs, "dec": pairs}),
+    "interval": st.fixed_dictionaries({"lower": tree_objs, "upper": tree_objs}),
+    "nct": st.fixed_dictionaries({"n": small_ints, "edges": pairs}),
+    "ncp": blocks | st.fixed_dictionaries({"lower": blocks, "upper": blocks}),
+}
+
+
+@lru_cache(maxsize=None)
+def valid_documents(kind):
+    """A valid document of ``kind`` for every object of size at most 4."""
+    docs = []
+    for n in range(1, 5):
+        if kind == "poset":
+            docs.extend(poset_to_obj(p) for p in enumerate_interval_posets(n))
+        elif kind == "interval":
+            for p in enumerate_interval_posets(n):
+                interval = to_interval(p)
+                docs.append({"lower": tree_to_obj(interval.lower),
+                             "upper": tree_to_obj(interval.upper)})
+        elif kind == "nct":
+            docs.extend(json.loads(nct_to_json(t)) for t in enumerate_nct(n))
+        else:
+            ncps = [json.loads(ncp_to_json(pi)) for pi in enumerate_ncp(n)]
+            docs.extend(ncps)
+            docs.extend({"lower": a, "upper": b} for a in ncps for b in ncps)
+    return docs
+
+
+@st.composite
+def blobs(draw, kind):
+    """Input text for ``kind``: a valid document, one with a field replaced,
+    a shaped or an arbitrary JSON value, or text that is not JSON."""
+    doc = dict(draw(st.sampled_from(valid_documents(kind))))
+    choice = draw(st.integers(0, 4))
+    if choice == 1:
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(
+            pairs | small_ints | tree_objs | json_values
+        )
+    elif choice == 2:
+        doc = draw(SHAPED[kind])
+    elif choice == 3:
+        doc = draw(json_values)
+    text = json.dumps(doc)
+    if choice == 4:
+        return draw(st.sampled_from([text[: len(text) // 2], text + "]"])
+                    | st.text())
+    return text
+
+
+@st.composite
+def commands(draw):
+    if draw(st.booleans()):
+        return ["classify", "--poset=" + draw(blobs("poset"))]
+    source, target = draw(st.sampled_from(KINDS)), draw(st.sampled_from(KINDS))
+    return ["convert", "--from", source, "--to", target,
+            "--input=" + draw(blobs(source))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(commands())
+def test_fuzzed_input_exits_zero_or_two(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run(argv)
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ")

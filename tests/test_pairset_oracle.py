@@ -4,7 +4,8 @@ pair-set implementation it replaced.
 The oracle below is the earlier frozenset-of-pairs code: a recursive tree
 walk, a depth-first transitive closure, the axiom check over sorted pairs,
 the closure-and-compare constructor, the Hasse diagram and the classifiers
-over pair sets, and ``to_interval`` through Hasse forests.  It stays here
+over pair sets, ``to_interval`` through Hasse forests, and the iterated
+rise over pair sets.  It stays here
 so that every later change to the mask code is still checked against it.
 """
 
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tamari import classify
+from tamari.risefall import iterated_rise_valid
 from tamari.posets import (
     IntervalConditionViolated,
     IntervalPoset,
@@ -205,6 +207,25 @@ def oracle_json(n, rel):
     })
 
 
+def oracle_rise(n, rel):
+    """Size n+1: decreasing pairs kept, each increasing (x, y) -> (x+1, y+1)."""
+    return n + 1, frozenset((x + 1, y + 1) if x < y else (x, y) for (x, y) in rel)
+
+
+def oracle_iterated_rise_valid(n, rel, k_max=None):
+    """Every rise up to ``k_max`` (default n+1) validates; rises go on from
+    the unclosed risen relation."""
+    if k_max is None:
+        k_max = n + 1
+    for _ in range(k_max):
+        n, rel = oracle_rise(n, rel)
+        try:
+            oracle_validate(rel)
+        except InvalidIntervalPoset:
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def oracle_posets(n):
     """Every interval-poset of size n, as pair sets in the canonical order."""
@@ -256,6 +277,14 @@ def test_classifiers_match(n):
 def test_to_interval_matches(n):
     for p, rel in zip(enumerate_interval_posets(n), oracle_posets(n)):
         assert to_interval(p) == oracle_to_interval(n, rel)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_iterated_rise_matches(n):
+    for p, rel in zip(enumerate_interval_posets(n), oracle_posets(n)):
+        for k_max in (None, 0, 1, 2, 3):
+            want = oracle_iterated_rise_valid(n, rel, k_max)
+            assert iterated_rise_valid(p, k_max) == want, (sorted(rel), k_max)
 
 
 # -- random relations up to size 8 --------------------------------------------

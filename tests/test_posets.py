@@ -26,7 +26,9 @@ from tamari.trees import (
     TamariInterval,
     dec_relations,
     enumerate_trees,
+    inc_relations,
     left_comb,
+    relation_masks,
     right_comb,
     tamari_leq,
 )
@@ -149,6 +151,41 @@ class TestEnumeration:
     def test_size_zero_rejected(self):
         with pytest.raises(ValueError):
             enumerate_interval_posets(0)
+
+    def test_each_call_returns_a_fresh_list(self):
+        first = enumerate_interval_posets(3)
+        second = enumerate_interval_posets(3)
+        assert first == second and first is not second
+        first.clear()
+        second.append(None)
+        assert len(enumerate_interval_posets(3)) == 13
+        assert None not in enumerate_interval_posets(3)
+
+
+class TestIntervalMasks:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_from_interval_is_dec_lower_or_inc_upper(self, n):
+        for lower in enumerate_trees(n):
+            for upper in enumerate_trees(n):
+                if tamari_leq(lower, upper):
+                    p = from_interval(TamariInterval(lower, upper))
+                    want = dec_relations(lower) | inc_relations(upper)
+                    assert p.relations == transitive_closure(want) == want
+
+    def test_equality_and_hash_ignore_the_masks(self):
+        lower, upper = left_comb(3), right_comb(3)
+        a, b = TamariInterval(lower, upper), TamariInterval(lower, upper)
+        object.__setattr__(b, "masks", ((), ()))
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b)
+        assert "masks" not in repr(a)
+        assert a.masks == (relation_masks(lower), relation_masks(upper))
+
+    def test_empty_interval_has_no_poset(self):
+        interval = TamariInterval(None, None)
+        assert interval.masks == ((), ())
+        with pytest.raises(ValueError):
+            from_interval(interval)
 
 
 class TestMirrorPoset:

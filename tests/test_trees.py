@@ -22,6 +22,7 @@ from tamari.trees import (
     tree_from_text,
     tree_relations,
     tree_to_json,
+    tree_to_obj,
     tree_to_text,
 )
 
@@ -76,6 +77,13 @@ class TestDeepTrees:
             assert t.right is None
             t = t.left
         assert t is None
+
+    def test_tree_to_obj_of_a_deep_comb(self):
+        obj = tree_to_obj(right_comb(3000))
+        for _ in range(3000):
+            assert obj[0] is None
+            obj = obj[1]
+        assert obj is None
 
     def test_relation_masks_of_a_deep_comb(self):
         # in a left comb every vertex lies below every larger label
