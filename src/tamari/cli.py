@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import census, classify, verify
@@ -130,6 +131,19 @@ def _interval_to_obj(interval: TamariInterval) -> dict:
     }
 
 
+_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+_INTEGERS_ONLY = re.compile(r"[\s\[\]{}:,0-9-]*")
+
+
+def _check_integers(text: str) -> None:
+    """Refuse JSON true, false and fractions, which Python reads as equal to
+    integers (true == 1 == 1.0).  ``text`` has parsed as JSON, so once its
+    strings and nulls are removed only integers and punctuation may remain."""
+    if not _INTEGERS_ONLY.fullmatch(_STRING.sub("", text).replace("null", "")):
+        raise UsageError("ParseError: numbers must be integers, "
+                         "not true, false or fractions")
+
+
 def _parse_source(kind: str, text: str):
     try:
         if kind == "poset":
@@ -167,6 +181,7 @@ def _parse_source(kind: str, text: str):
     except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         # RecursionError: JSON nested deeper than json.loads can read
         raise UsageError(f"ParseError: cannot parse {kind}: {exc}") from exc
+    _check_integers(text)
     _check_size(n)
     return value
 

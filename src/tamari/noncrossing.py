@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from . import classify
-from .posets import IntervalPoset, RangeRelation, from_interval, validate
+from .posets import IntervalPoset, from_interval, make_poset
 from .trees import BinaryTree, TamariInterval, Tree, size
 
 Chord = tuple[int, int]
@@ -134,7 +134,7 @@ def nct_to_poset(t: NoncrossingTree) -> IntervalPoset:
         for j, (a, b) in chord_of.items():
             if i != j and a <= c <= d <= b:
                 pairs.add((i, j))
-    return validate(RangeRelation(t.n, frozenset(pairs)))
+    return make_poset(t.n, pairs)
 
 
 def poset_to_nct(p: IntervalPoset) -> NoncrossingTree:
@@ -260,29 +260,23 @@ def partition_of_tree(t: Tree) -> NoncrossingPartition:
     right child."""
     if t is None:
         raise ValueError("tree must be nonempty")
-    parent = list(range(size(t) + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def go(node: Tree, lo: int) -> int:
-        if node is None:
-            return lo
-        mid = go(node.left, lo)  # this node's label
-        hi = go(node.right, mid + 1)
-        if node.right is not None:
-            right_label = mid + 1 + size(node.right.left)
-            parent[find(right_label)] = find(mid)
-        return hi
-
-    go(t, 1)
-    groups: dict[int, list[int]] = {}
-    for x in range(1, len(parent)):
-        groups.setdefault(find(x), []).append(x)
-    return make_partition(groups.values())
+    # iterative in-order walk; a right child is labelled after its parent
+    # and joins the parent's block
+    block_of = [0]  # block_of[label]: the smallest label of its block
+    blocks: dict[int, list[int]] = {}
+    stack: list[tuple[BinaryTree, int]] = []  # (node, parent label if right child)
+    node, parent = t, 0
+    while stack or node is not None:
+        while node is not None:
+            stack.append((node, parent))
+            node, parent = node.left, 0
+        node, parent = stack.pop()
+        label = len(block_of)
+        first = block_of[parent] if parent else label
+        block_of.append(first)
+        blocks.setdefault(first, []).append(label)
+        node, parent = node.right, label
+    return make_partition(blocks.values())
 
 
 def tree_of_partition(pi: NoncrossingPartition) -> Tree:
@@ -303,12 +297,18 @@ def tree_of_partition(pi: NoncrossingPartition) -> Tree:
             left[m + 1] = block[0]
     assert root_label is not None
 
-    def build(label: int | None) -> Tree:
-        if label is None:
-            return None
-        return BinaryTree(build(left[label]), build(right[label]))
-
-    t = build(root_label)
+    # iterative post-order: a node is built once both sons are
+    built: dict[int | None, Tree] = {None: None}
+    stack = [root_label]
+    while stack:
+        label = stack[-1]
+        sons = [s for s in (left[label], right[label]) if s not in built]
+        if sons:
+            stack.extend(sons)
+        else:
+            stack.pop()
+            built[label] = BinaryTree(built[left[label]], built[right[label]])
+    t = built[root_label]
     assert size(t) == n, "grafting did not reassemble the whole tree"
     return t
 

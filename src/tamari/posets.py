@@ -130,58 +130,33 @@ def transitive_closure(pairs: frozenset[Pair]) -> frozenset[Pair]:
     return mask_pairs(_close(_masks(n, pairs)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class RangeRelation:
-    """An arbitrary relation on {1..n}, split by direction only on demand.
+    """An arbitrary irreflexive relation on {1..n}.
 
-    Deliberately weaker than an interval-poset: the rise of an
+    ``up[x - 1]`` is the up-set mask of x: bit ``y - 1`` is set iff x <| y.
+    The pair views ``pairs``, ``inc`` and ``dec`` are derived on demand and
+    not stored.  Deliberately weaker than an interval-poset: the rise of an
     interval-poset need not be one, so iterating rises requires this
     general carrier.
     """
 
     n: int
-    pairs: frozenset[Pair]
-
-    def __post_init__(self) -> None:
-        for (x, y) in self.pairs:
-            if not (1 <= x <= self.n and 1 <= y <= self.n) or x == y:
-                raise ValueError(f"pair ({x},{y}) out of range for size {self.n}")
-
-    @property
-    def inc(self) -> frozenset[Pair]:
-        return frozenset(p for p in self.pairs if p[0] < p[1])
-
-    @property
-    def dec(self) -> frozenset[Pair]:
-        return frozenset(p for p in self.pairs if p[0] > p[1])
-
-
-@dataclass(frozen=True, init=False, repr=False, slots=True)
-class IntervalPoset:
-    """A validated interval-poset on {1..n}.
-
-    ``up[x - 1]`` is the up-set mask of x: bit ``y - 1`` is set iff x <| y,
-    reflexive bits omitted.  The pair views ``relations`` (the full
-    transitive relation, pairs (x, y) meaning x <| y), ``inc`` and ``dec``
-    are derived on demand and not stored.
-    """
-
-    n: int
     up: tuple[int, ...]
 
-    def __init__(self, n: int, relations) -> None:
-        up = tuple(_masks(n, RangeRelation(n, frozenset(relations)).pairs))
-        _check_axioms(up)
-        if tuple(_close(list(up))) != up:
-            raise InvalidIntervalPoset("relation is not transitively closed")
+    def __init__(self, n: int, pairs) -> None:
+        pairs = frozenset(pairs)
+        for (x, y) in pairs:
+            if not (1 <= x <= n and 1 <= y <= n) or x == y:
+                raise ValueError(f"pair ({x},{y}) out of range for size {n}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "up", up)
+        object.__setattr__(self, "up", tuple(_masks(n, pairs)))
 
     def __repr__(self) -> str:
-        return f"IntervalPoset({self.n}, {sorted(self.relations)})"
+        return f"{type(self).__name__}({self.n}, {sorted(self.pairs)})"
 
     @property
-    def relations(self) -> frozenset[Pair]:
+    def pairs(self) -> frozenset[Pair]:
         return mask_pairs(self.up)
 
     @property
@@ -191,6 +166,25 @@ class IntervalPoset:
     @property
     def dec(self) -> frozenset[Pair]:
         return mask_pairs(dec_masks(self.up))
+
+
+class IntervalPoset(RangeRelation):
+    """A validated interval-poset on {1..n}: a transitively closed
+    :class:`RangeRelation` satisfying the interval conditions.
+
+    ``relations`` is the full transitive relation, pairs (x, y) meaning
+    x <| y.  Never equal to a :class:`RangeRelation` on the same pairs.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, n: int, relations) -> None:
+        super().__init__(n, relations)
+        _check_axioms(self.up)
+        if tuple(_close(list(self.up))) != self.up:
+            raise InvalidIntervalPoset("relation is not transitively closed")
+
+    relations = RangeRelation.pairs
 
     @property
     def down(self) -> tuple[int, ...]:
@@ -206,22 +200,22 @@ class IntervalPoset:
         return (self.n, *_sorted_pairs(self.up))
 
     def as_relation(self) -> RangeRelation:
-        return RangeRelation(self.n, self.relations)
+        return _build(RangeRelation, self.up)
 
 
-def _poset(up: tuple[int, ...]) -> IntervalPoset:
-    """An :class:`IntervalPoset` on masks that already passed validation."""
-    p = object.__new__(IntervalPoset)
-    object.__setattr__(p, "n", len(up))
-    object.__setattr__(p, "up", up)
-    return p
+def _build(cls, up: tuple[int, ...]):
+    """A ``cls`` on trusted masks, with no check."""
+    rel = object.__new__(cls)
+    object.__setattr__(rel, "n", len(up))
+    object.__setattr__(rel, "up", up)
+    return rel
 
 
 def _validated(up: list[int]) -> IntervalPoset:
     """Close ``up`` and check the axioms: the one validation path."""
     closed = tuple(_close(up))
     _check_axioms(closed)
-    return _poset(closed)
+    return _build(IntervalPoset, closed)
 
 
 def _sorted_pairs(up) -> tuple[list[Pair], list[Pair]]:
@@ -243,7 +237,7 @@ def validate(rel: RangeRelation) -> IntervalPoset:
     Raises :class:`NotAPoset` or :class:`IntervalConditionViolated` with a
     minimal witness; on success returns the closed poset.
     """
-    return _validated(_masks(rel.n, rel.pairs))
+    return _validated(list(rel.up))
 
 
 def is_valid(rel: RangeRelation) -> bool:
@@ -256,7 +250,7 @@ def is_valid(rel: RangeRelation) -> bool:
 
 def make_poset(n: int, pairs) -> IntervalPoset:
     """Build an interval-poset from generating pairs (closure is taken)."""
-    return validate(RangeRelation(n, frozenset(pairs)))
+    return validate(RangeRelation(n, pairs))
 
 
 def tree_poset(t: Tree) -> IntervalPoset:
@@ -359,8 +353,7 @@ def mirror_poset(p: IntervalPoset) -> IntervalPoset:
     """a <| b in the result iff (n+1-a) <| (n+1-b) in ``p``; an involution
     matching the left/right mirror of both interval bounds."""
     n = p.n
-    pairs = frozenset((n + 1 - a, n + 1 - b) for (a, b) in p.relations)
-    return IntervalPoset(n, pairs)
+    return _validated([int(f"{mask:0{n}b}"[::-1], 2) for mask in reversed(p.up)])
 
 
 def interval_members(p: IntervalPoset) -> list[Tree]:
@@ -401,12 +394,9 @@ def linear_extensions(n: int, pairs: frozenset[Pair]) -> list[tuple[int, ...]]:
 
 # -- serialization ----------------------------------------------------------
 
-def poset_to_obj(p: IntervalPoset | RangeRelation) -> dict:
+def poset_to_obj(p: RangeRelation) -> dict:
     # pairs mean first <| second in both lists
-    if isinstance(p, IntervalPoset):
-        inc, dec = _sorted_pairs(p.up)
-    else:
-        inc, dec = sorted(p.inc), sorted(p.dec)
+    inc, dec = _sorted_pairs(p.up)
     return {
         "size": p.n,
         "inc": [[a, b] for (a, b) in inc],
@@ -414,7 +404,7 @@ def poset_to_obj(p: IntervalPoset | RangeRelation) -> dict:
     }
 
 
-def poset_to_json(p: IntervalPoset | RangeRelation) -> str:
+def poset_to_json(p: RangeRelation) -> str:
     return json.dumps(poset_to_obj(p))
 
 

@@ -8,57 +8,87 @@ the result need not be a poset; validity is a separate, testable step.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from itertools import islice
+
 from .classify import stat
 from .posets import (
     IntervalPoset,
     InvalidIntervalPoset,
-    Pair,
     RangeRelation,
+    _build,
     _validated,
-    validate,
 )
-from .trees import dec_masks, inc_masks
+from .trees import Masks, dec_masks, inc_masks
+
+# Every map below relabels the increasing (Inc) and the decreasing (Dec)
+# relations separately, each by inserting or deleting one vertex.
 
 
-def _as_relation(p: IntervalPoset | RangeRelation) -> RangeRelation:
-    if isinstance(p, IntervalPoset):
-        return p.as_relation()
-    return p
+def _insert(masks: Sequence[int], v: int) -> list[int]:
+    """``masks`` with a new unrelated vertex at label v; labels >= v move up."""
+    at_or_above = -1 << (v - 1)
+    # adding the bits at labels >= v to themselves shifts them up one
+    out = [mask + (mask & at_or_above) for mask in masks]
+    out.insert(v - 1, 0)
+    return out
 
 
-def rise(p: IntervalPoset | RangeRelation) -> RangeRelation:
+def _delete(masks: Sequence[int], v: int) -> list[int]:
+    """``masks`` without vertex v and its relations; labels > v move down."""
+    below = (1 << (v - 1)) - 1
+    out = [mask & below | (mask >> v) << (v - 1) for mask in masks]
+    del out[v - 1]
+    return out
+
+
+def _split(p: RangeRelation) -> tuple[Masks, Masks]:
+    return dec_masks(p.up), inc_masks(p.up)
+
+
+def _joined(dec: Sequence[int], inc: Sequence[int]) -> list[int]:
+    return [d | i for d, i in zip(dec, inc)]
+
+
+def _rises(p: RangeRelation):
+    """The masks of the first, second, ... rise of ``p``; the Dec/Inc split
+    is kept from one rise to the next."""
+    dec, inc = _split(p)
+    while True:
+        dec, inc = _insert(dec, len(dec) + 1), _insert(inc, 1)
+        yield _joined(dec, inc)
+
+
+def rise(p: RangeRelation) -> RangeRelation:
     """Size n+1; decreasing pairs kept, each increasing (x, y) -> (x+1, y+1).
 
     The result validates as an interval-poset iff ``p`` is modern.
     """
-    rel = _as_relation(p)
-    pairs = rel.dec | frozenset((x + 1, y + 1) for (x, y) in rel.inc)
-    return RangeRelation(rel.n + 1, pairs)
+    return rise_k(p, 1)
 
 
-def fall(p: IntervalPoset | RangeRelation) -> RangeRelation:
+def fall(p: RangeRelation) -> RangeRelation:
     """Size n-1; decreasing pairs kept, each increasing (x, y) -> (x-1, y-1).
 
     Requires no increasing relation from 1 and no decreasing relation
     from n.  The result validates iff ``p`` is new.
     """
-    rel = _as_relation(p)
-    if any(x == 1 for (x, y) in rel.inc):
+    dec, inc = _split(p)
+    if inc and inc[0]:
         raise ValueError("fall undefined: increasing relation starting at 1")
-    if any(x == rel.n for (x, y) in rel.dec):
-        raise ValueError(f"fall undefined: decreasing relation starting at {rel.n}")
-    pairs = rel.dec | frozenset((x - 1, y - 1) for (x, y) in rel.inc)
-    return RangeRelation(rel.n - 1, pairs)
+    if dec and dec[-1]:
+        raise ValueError(f"fall undefined: decreasing relation starting at {p.n}")
+    return _build(RangeRelation, tuple(_joined(_delete(dec, p.n), _delete(inc, 1))))
 
 
-def rise_k(p: IntervalPoset | RangeRelation, k: int) -> RangeRelation:
+def rise_k(p: RangeRelation, k: int) -> RangeRelation:
     """k-fold iterated rise; k = 0 is the identity."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    rel = _as_relation(p)
-    for _ in range(k):
-        rel = rise(rel)
-    return rel
+    up = p.up
+    for up in islice(_rises(p), k):
+        pass
+    return _build(RangeRelation, tuple(up))
 
 
 def iterated_rise_valid(p: IntervalPoset, k_max: int | None = None) -> bool:
@@ -69,12 +99,9 @@ def iterated_rise_valid(p: IntervalPoset, k_max: int | None = None) -> bool:
     if k_max is None:
         k_max = p.n + 1
     # the risen relation stays unclosed between rises, as ``rise_k`` keeps it
-    dec, inc = list(dec_masks(p.up)), list(inc_masks(p.up))
-    for _ in range(k_max):
-        dec.append(0)
-        inc = [0] + [mask << 1 for mask in inc]
+    for up in islice(_rises(p), k_max):
         try:
-            _validated([d | i for d, i in zip(dec, inc)])
+            _validated(up)
         except InvalidIntervalPoset:
             return False
     return True
@@ -96,28 +123,13 @@ def insert_fik(p: IntervalPoset, i: int, k: int) -> IntervalPoset:
         raise ValueError(
             f"poset with stat (ir={s.ir}, dr={s.dr}) not insertable at (i={i}, k={k})"
         )
-    pairs: set[Pair] = set()
+    dec, inc = _split(p)
+    dec, inc = _insert(dec, i), _insert(inc, k)
     if k <= n:  # no increasing relation is added when k = n+1
-        pairs.add((k, k + 1))
+        inc[k - 1] |= 1 << k
     if i >= 2:  # no decreasing relation is added when i = 1
-        pairs.add((i, i - 1))
-    for (x, y) in p.relations:
-        if x < y:  # increasing, shifted around position k
-            if y < k:
-                pairs.add((x, y))
-            elif x < k:
-                pairs.add((x, y + 1))
-            else:
-                pairs.add((x + 1, y + 1))
-        else:  # decreasing (x, y) = y' <| x' with x' < y', shifted around i
-            hi, lo = x, y
-            if i <= lo:
-                pairs.add((hi + 1, lo + 1))
-            elif i <= hi:
-                pairs.add((hi + 1, lo))
-            else:
-                pairs.add((hi, lo))
-    result = validate(RangeRelation(n + 1, frozenset(pairs)))
+        dec[i - 1] |= 1 << (i - 2)
+    result = _validated(_joined(dec, inc))
     out = stat(result)
     assert (out.ir, out.dr) == (k, i), "insertion left the wrong statistic"
     return result
@@ -135,20 +147,8 @@ def remove_rho(p: IntervalPoset) -> IntervalPoset:
     if p.n < 2:
         raise ValueError("removal requires size at least 2")
     i, k = s.dr, s.ir
-    pairs: set[Pair] = set()
-    for (a, b) in p.relations:
-        if a < b:  # increasing
-            if a < k < b:
-                pairs.add((a, b - 1))
-            elif k < a:
-                pairs.add((a - 1, b - 1))
-        else:  # decreasing b <| a stored as (a, b), b < a
-            hi, lo = a, b
-            if hi < i:
-                pairs.add((hi, lo))
-            elif lo < i < hi:
-                pairs.add((hi - 1, lo))
-    result = validate(RangeRelation(p.n - 1, frozenset(pairs)))
+    dec, inc = _split(p)
+    result = _validated(_joined(_delete(dec, i), _delete(inc, k)))
     out = stat(result)
     assert out.dr <= i and k - 1 <= out.ir, "removal left the statistic out of range"
     return result

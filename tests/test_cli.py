@@ -321,6 +321,51 @@ class TestSizeInput:
         assert one_error_line(capsys)
 
 
+class TestNonIntegerInput:
+    # JSON true/false and floats compare equal to integers in Python
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--poset", '{"size": true, "inc": [], "dec": []}'],
+        ["classify", "--poset", '{"size": 3, "inc": [[true, 2]], "dec": []}'],
+        ["convert", "--from", "ncp", "--to", "poset", "--input", '{"blocks": [[1.0]]}'],
+        ["convert", "--from", "nct", "--to", "poset",
+         "--input", '{"n": true, "edges": [[0, 1]]}'],
+        ["convert", "--from", "poset", "--to", "poset",
+         "--input", '{"size": 2, "inc": [[1, 2.0]], "dec": []}'],
+        ["convert", "--from", "interval", "--to", "poset",
+         "--input", '{"lower": [null, false], "upper": [null, null]}'],
+        ["export", "--format", "json", "--input", '{"size": 1.0, "inc": [], "dec": []}'],
+    ])
+    def test_rejected(self, capsys, argv):
+        code, text = run(argv)
+        assert code == 2
+        assert text == ""
+        assert one_error_line(capsys)
+
+
+class TestDeepPartitions:
+    N = 1200  # deeper than the interpreter's recursion limit
+
+    def singletons(self):
+        return [[k] for k in range(1, self.N + 1)]
+
+    def test_ncp_interval_round_trip(self):
+        lower, upper = self.singletons(), [list(range(1, self.N + 1))]
+        blob = json.dumps({"lower": {"blocks": lower}, "upper": {"blocks": upper}})
+        code, text = run(["convert", "--from", "ncp", "--to", "ncp", "--input", blob])
+        assert code == 0
+        got = json.loads(text)
+        assert got["lower"] == {"n": self.N, "blocks": lower}
+        assert got["upper"] == {"n": self.N, "blocks": upper}
+
+    def test_chain_to_ncp(self):
+        # both bounds of the chain 1 <| 2 <| ... are the left comb
+        chain = TestDeepInput.chain(self.N)
+        code, text = run(["convert", "--from", "poset", "--to", "ncp", "--input", chain])
+        assert code == 0
+        got = json.loads(text)
+        assert got["lower"] == got["upper"] == {"n": self.N, "blocks": self.singletons()}
+
+
 class TestDeepInput:
     # nested deeper than json.loads can read
     DEPTH = 5000

@@ -26,7 +26,14 @@ from tamari.noncrossing import (
     tree_of_partition,
 )
 from tamari.posets import RangeRelation, enumerate_interval_posets, validate
-from tamari.trees import enumerate_trees, left_comb, right_comb, tree_from_text
+from tamari.trees import (
+    enumerate_trees,
+    left_comb,
+    relation_masks,
+    right_comb,
+    size,
+    tree_from_text,
+)
 
 
 def fuss_catalan(n):
@@ -249,6 +256,49 @@ class TestPartitionTreeBijection:
             assert tree_of_partition(partition_of_tree(t)) == t
         for pi in enumerate_ncp(n):
             assert partition_of_tree(tree_of_partition(pi)) == pi
+
+    @staticmethod
+    def recursive_partition_of_tree(t):
+        """The recursive walk the iterative one replaced."""
+        parent = list(range(size(t) + 1))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        def go(node, lo):
+            if node is None:
+                return lo
+            mid = go(node.left, lo)
+            hi = go(node.right, mid + 1)
+            if node.right is not None:
+                parent[find(mid + 1 + size(node.right.left))] = find(mid)
+            return hi
+
+        go(t, 1)
+        groups = {}
+        for x in range(1, len(parent)):
+            groups.setdefault(find(x), []).append(x)
+        return make_partition(groups.values())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_matches_the_recursive_walk(self, n):
+        for t in enumerate_trees(n):
+            assert partition_of_tree(t) == self.recursive_partition_of_tree(t)
+
+    def test_deep_combs(self):
+        # deeper than the interpreter's recursion limit; tree equality
+        # recurses, so the trees are compared by their relation masks
+        n = 1200
+        singletons = make_partition([[k] for k in range(1, n + 1)])
+        assert partition_of_tree(left_comb(n)) == singletons
+        got = tree_of_partition(singletons)
+        assert relation_masks(got) == relation_masks(left_comb(n))
+        one_block = make_partition([range(1, n + 1)])
+        assert partition_of_tree(right_comb(n)) == one_block
+        got = tree_of_partition(one_block)
+        assert relation_masks(got) == relation_masks(right_comb(n))
 
 
 class TestRefinementOrder:

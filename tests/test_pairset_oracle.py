@@ -4,9 +4,10 @@ pair-set implementation it replaced.
 The oracle below is the earlier frozenset-of-pairs code: a recursive tree
 walk, a depth-first transitive closure, the axiom check over sorted pairs,
 the closure-and-compare constructor, the Hasse diagram and the classifiers
-over pair sets, ``to_interval`` through Hasse forests, and the iterated
-rise over pair sets.  It stays here
-so that every later change to the mask code is still checked against it.
+over pair sets, ``to_interval`` through Hasse forests, the range check of
+the pair-set ``RangeRelation``, and rise, fall, the iterated rise,
+insertion, removal and the mirror over pair sets.  It stays here so that
+every later change to the mask code is still checked against it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tamari import classify
-from tamari.risefall import iterated_rise_valid
+from tamari.risefall import fall, insert_fik, iterated_rise_valid, remove_rho, rise, rise_k
 from tamari.posets import (
     IntervalConditionViolated,
     IntervalPoset,
@@ -26,6 +27,7 @@ from tamari.posets import (
     NotAPoset,
     RangeRelation,
     enumerate_interval_posets,
+    mirror_poset,
     poset_to_json,
     to_interval,
     transitive_closure,
@@ -212,6 +214,103 @@ def oracle_rise(n, rel):
     return n + 1, frozenset((x + 1, y + 1) if x < y else (x, y) for (x, y) in rel)
 
 
+def oracle_fall(n, rel):
+    """Size n-1: decreasing pairs kept, each increasing (x, y) -> (x-1, y-1)."""
+    if any(x == 1 for (x, y) in rel if x < y):
+        raise ValueError("fall undefined: increasing relation starting at 1")
+    if any(x == n for (x, y) in rel if x > y):
+        raise ValueError(f"fall undefined: decreasing relation starting at {n}")
+    return n - 1, frozenset((x - 1, y - 1) if x < y else (x, y) for (x, y) in rel)
+
+
+def oracle_rise_k(n, rel, k):
+    for _ in range(k):
+        n, rel = oracle_rise(n, rel)
+    return n, rel
+
+
+def oracle_range_check(n, pairs):
+    """The check of the pair-set ``RangeRelation``, in set order."""
+    for (x, y) in pairs:
+        if not (1 <= x <= n and 1 <= y <= n) or x == y:
+            raise ValueError(f"pair ({x},{y}) out of range for size {n}")
+
+
+def oracle_insert_fik(n, rel, i, k):
+    """Insertion: every pair shifted around k (increasing) or i (decreasing),
+    plus k <| k+1 and i <| i-1."""
+    if not 1 <= i <= k <= n + 1:
+        raise ValueError(f"need 1 <= i <= k <= {n + 1}, got i={i}, k={k}")
+    ir, dr = oracle_stat(n, rel)
+    if not (dr <= i and k - 1 <= ir):
+        raise ValueError(
+            f"poset with stat (ir={ir}, dr={dr}) not insertable at (i={i}, k={k})"
+        )
+    pairs = set()
+    if k <= n:
+        pairs.add((k, k + 1))
+    if i >= 2:
+        pairs.add((i, i - 1))
+    for (x, y) in rel:
+        if x < y:
+            if y < k:
+                pairs.add((x, y))
+            elif x < k:
+                pairs.add((x, y + 1))
+            else:
+                pairs.add((x + 1, y + 1))
+        else:  # y <| x with y < x, shifted around i
+            hi, lo = x, y
+            if i <= lo:
+                pairs.add((hi + 1, lo + 1))
+            elif i <= hi:
+                pairs.add((hi + 1, lo))
+            else:
+                pairs.add((hi, lo))
+    result = oracle_validate(frozenset(pairs))
+    assert oracle_stat(n + 1, result) == (k, i), "insertion left the wrong statistic"
+    return result
+
+
+def oracle_remove_rho(n, rel):
+    """Removal: drop the vertex ir on the increasing side and dr on the
+    decreasing side."""
+    k, i = oracle_stat(n, rel)
+    if i > k:
+        raise ValueError("removal requires an infinitely modern poset")
+    if n < 2:
+        raise ValueError("removal requires size at least 2")
+    pairs = set()
+    for (a, b) in rel:
+        if a < b:
+            if a < k < b:
+                pairs.add((a, b - 1))
+            elif k < a:
+                pairs.add((a - 1, b - 1))
+        else:  # b <| a with b < a
+            if a < i:
+                pairs.add((a, b))
+            elif b < i < a:
+                pairs.add((a - 1, b))
+    result = oracle_validate(frozenset(pairs))
+    ir, dr = oracle_stat(n - 1, result)
+    assert dr <= i and k - 1 <= ir, "removal left the statistic out of range"
+    return result
+
+
+def oracle_mirror(n, rel):
+    return oracle_construct(frozenset((n + 1 - a, n + 1 - b) for (a, b) in rel))
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` gives: ``("ok", value)`` or the exception's type
+    and message."""
+    try:
+        return "ok", fn(*args)
+    except (AssertionError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
 def oracle_iterated_rise_valid(n, rel, k_max=None):
     """Every rise up to ``k_max`` (default n+1) validates; rises go on from
     the unclosed risen relation."""
@@ -287,6 +386,64 @@ def test_iterated_rise_matches(n):
             assert iterated_rise_valid(p, k_max) == want, (sorted(rel), k_max)
 
 
+@pytest.mark.parametrize("n", SIZES)
+def test_rise_fall_and_rise_k_match(n):
+    for p, rel in zip(enumerate_interval_posets(n), oracle_posets(n)):
+        for k in range(4):
+            got = rise_k(p, k)
+            assert type(got) is RangeRelation
+            assert (got.n, got.pairs) == oracle_rise_k(n, rel, k), (sorted(rel), k)
+        risen = rise(p)
+        assert type(risen) is RangeRelation
+        assert (risen.n, risen.pairs) == oracle_rise(n, rel)
+        for q, (m, q_rel) in ((p, (n, rel)), (risen, oracle_rise(n, rel))):
+            want = outcome(oracle_fall, m, q_rel)
+            got = outcome(fall, q)
+            if want[0] == "ok":
+                assert got[0] == "ok" and type(got[1]) is RangeRelation
+                assert (got[1].n, got[1].pairs) == want[1], sorted(q_rel)
+            else:
+                assert got == want, sorted(q_rel)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_insert_and_remove_match(n):
+    inserted = 0
+    for p, rel in zip(enumerate_interval_posets(n), oracle_posets(n)):
+        for i in range(n + 3):
+            for k in range(n + 3):
+                want = outcome(oracle_insert_fik, n, rel, i, k)
+                got = outcome(insert_fik, p, i, k)
+                if want[0] == "ok":
+                    assert got[0] == "ok" and got[1].relations == want[1]
+                    inserted += 1
+                else:
+                    assert got == want, (sorted(rel), i, k)
+        want = outcome(oracle_remove_rho, n, rel)
+        got = outcome(remove_rho, p)
+        if want[0] == "ok":
+            assert got[0] == "ok" and got[1].relations == want[1], sorted(rel)
+        else:
+            assert got == want, sorted(rel)
+    assert inserted > 0
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_mirror_matches(n):
+    for p, rel in zip(enumerate_interval_posets(n), oracle_posets(n)):
+        got = mirror_poset(p)
+        assert type(got) is IntervalPoset
+        assert got.relations == oracle_mirror(n, rel)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_poset_is_not_its_relation_and_repr_is_unchanged(n):
+    for p, rel in zip(enumerate_interval_posets(n), oracle_posets(n)):
+        assert p != p.as_relation() and p.as_relation() != p
+        assert p.as_relation() == RangeRelation(n, rel)
+        assert repr(p) == f"IntervalPoset({n}, {sorted(rel)})"
+
+
 # -- random relations up to size 8 --------------------------------------------
 
 @st.composite
@@ -340,3 +497,28 @@ def test_constructor_matches_oracle(case):
 def test_transitive_closure_matches_oracle(case):
     _, pairs = case
     assert transitive_closure(pairs) == oracle_closure(pairs)
+
+
+@st.composite
+def pair_sets(draw):
+    """Pairs on {0..n+1}, so some are out of range or reflexive."""
+    n = draw(st.integers(1, 8))
+    pair = st.tuples(st.integers(0, n + 1), st.integers(0, n + 1))
+    return n, frozenset(draw(st.lists(pair, max_size=12)))
+
+
+@given(pair_sets())
+def test_range_relation_matches_pair_set(case):
+    n, pairs = case
+    want = outcome(oracle_range_check, n, pairs)
+    got = outcome(RangeRelation, n, pairs)
+    if want[0] != "ok":
+        assert got == want
+        return
+    rel = got[1]
+    assert rel.n == n and rel.pairs == pairs
+    assert rel.inc == frozenset((x, y) for (x, y) in pairs if x < y)
+    assert rel.dec == frozenset((x, y) for (x, y) in pairs if x > y)
+    again = RangeRelation(n, sorted(pairs, reverse=True))
+    assert again == rel and hash(again) == hash(rel)
+    assert repr(rel) == f"RangeRelation({n}, {sorted(pairs)})"

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -78,6 +79,35 @@ class TestValidate:
     def test_unclosed_poset_constructor_rejected(self):
         with pytest.raises(ValueError):
             IntervalPoset(3, frozenset({(3, 2), (2, 1)}))
+
+
+class TestCarrier:
+    def test_pairs_from_a_one_shot_iterator(self):
+        rel = RangeRelation(3, iter([(2, 1), (2, 3)]))
+        assert rel.pairs == frozenset({(2, 1), (2, 3)})
+        p = IntervalPoset(3, iter([(2, 1), (2, 3)]))
+        assert p.relations == rel.pairs
+        assert make_poset(3, iter([(2, 1), (2, 3)])) == p
+
+    def test_poset_is_a_relation_on_the_same_masks(self):
+        p = make_poset(3, [(2, 1), (2, 3)])
+        assert isinstance(p, RangeRelation)
+        assert p.up == p.as_relation().up == RangeRelation(3, p.relations).up
+        assert p != p.as_relation()
+
+    def test_frozen_without_instance_dict(self):
+        p = make_poset(2, [(1, 2)])
+        for obj in (p, p.as_relation()):
+            with pytest.raises(AttributeError):
+                obj.n = 3
+            assert not hasattr(obj, "__dict__")
+
+    def test_pickle_round_trip_keeps_the_class(self):
+        p = make_poset(3, [(2, 1), (2, 3)])
+        for obj in (p, p.as_relation()):
+            back = pickle.loads(pickle.dumps(obj))
+            assert type(back) is type(obj)
+            assert back == obj and hash(back) == hash(obj)
 
 
 class TestIntervalBijection:
