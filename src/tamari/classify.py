@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .posets import IntervalPoset, Pair
-from .trees import TamariInterval, Tree, dec_masks, mask_pairs
+from .trees import TamariInterval, Tree, dec_masks, mask_pairs, subtree_spans
 
 
 def _cover_masks(p: IntervalPoset) -> list[int]:
@@ -109,20 +109,9 @@ def avoids_long_crossing(p: IntervalPoset) -> bool:
 
 def leaf_spans(t: Tree) -> set[tuple[int, int]]:
     """Leaf intervals [i, j] of all nonempty subtrees, leaves numbered
-    1..size+1 left to right."""
-    spans: set[tuple[int, int]] = set()
-
-    def go(node: Tree, lo: int) -> int:
-        # returns index of the first leaf right of this subtree
-        if node is None:
-            return lo + 1
-        mid = go(node.left, lo)
-        hi = go(node.right, mid)
-        spans.add((lo, hi - 1))
-        return hi
-
-    go(t, 1)
-    return spans
+    1..size+1 left to right: the subtree covering labels lo..hi has leaves
+    lo..hi+1."""
+    return {(lo, hi + 1) for (_, lo, hi) in subtree_spans(t)}
 
 
 def is_new_interval(interval: TamariInterval) -> bool:

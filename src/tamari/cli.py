@@ -37,6 +37,7 @@ from .posets import (
     poset_from_json,
     poset_to_json,
     poset_to_obj,
+    stream_interval_posets,
     to_interval,
 )
 from .trees import TamariInterval, tree_from_obj, tree_to_obj
@@ -93,9 +94,9 @@ def cmd_enumerate(args, out) -> int:
             count += 1
     else:
         keep = POSET_FILTERS[args.family]
-        for p in enumerate_interval_posets(args.size):
+        for p, line in stream_interval_posets(args.size):
             if keep(p):
-                print(poset_to_json(p), file=out)
+                print(line, file=out)
                 count += 1
     print(json.dumps({"count": count}), file=out)
     return 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import classify
 from .posets import IntervalPoset, from_interval, make_poset
@@ -199,9 +199,14 @@ def boundary_tree(n: int) -> NoncrossingTree:
 
 @dataclass(frozen=True)
 class NoncrossingPartition:
-    """Blocks sorted by minimum, elements sorted inside each block."""
+    """Blocks sorted by minimum, elements sorted inside each block.
+
+    ``n`` is the number of elements, stored once; it takes no part in
+    equality, hashing or repr.
+    """
 
     blocks: tuple[tuple[int, ...], ...]
+    n: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         elements = [x for b in self.blocks for x in b]
@@ -210,14 +215,24 @@ class NoncrossingPartition:
             raise ValueError("blocks must partition {1..n} into nonempty sets")
         if list(self.blocks) != sorted(tuple(sorted(b)) for b in self.blocks):
             raise ValueError("blocks must be sorted by minimum, elements sorted")
-        for b1, b2 in itertools.combinations(self.blocks, 2):
-            for i, k in itertools.combinations(b1, 2):
-                if any(i < j < k < l for j in b2 for l in b2):
-                    raise ValueError(f"blocks {b1} and {b2} cross")
-
-    @property
-    def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
+        # one pass over 1..n with a stack of the blocks begun and not yet
+        # ended: a later element of a block must find that block on top,
+        # else the block on top began after it and ends after this element
+        block_at: list[tuple[int, ...]] = [()] * (n + 1)
+        for b in self.blocks:
+            for x in b:
+                block_at[x] = b
+        begun: list[tuple[int, ...]] = []
+        for x in range(1, n + 1):
+            b = block_at[x]
+            if x == b[0]:
+                if len(b) > 1:
+                    begun.append(b)
+            elif begun[-1] is not b:
+                raise ValueError(f"blocks {b} and {begun[-1]} cross")
+            elif x == b[-1]:
+                begun.pop()
+        object.__setattr__(self, "n", n)
 
     def block_of(self, x: int) -> tuple[int, ...]:
         for b in self.blocks:

@@ -14,9 +14,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import or_
+from typing import Iterator, NamedTuple
 
 from .trees import (
     BinaryTree,
+    Masks,
     TamariInterval,
     Tree,
     dec_masks,
@@ -310,27 +313,73 @@ def _pack(masks) -> int:
     return sum(mask << (i * n) for i, mask in enumerate(masks))
 
 
+class _Tables(NamedTuple):
+    """Per-tree tables of one size, indexed like ``enumerate_trees(n)``."""
+
+    decs: tuple[Masks, ...]  # Dec masks
+    incs: tuple[Masks, ...]  # Inc masks
+    packed: tuple[int, ...]  # Dec masks packed by _pack
+    by_inc: tuple[int, ...]  # tree indices in the order of their sorted Inc pairs
+    by_dec: tuple[int, ...]  # tree indices in the order of their sorted Dec pairs
+    inc_json: tuple[str, ...]  # the sorted Inc pairs as JSON text
+    dec_json: tuple[str, ...]  # the sorted Dec pairs as JSON text
+
+
 @lru_cache(maxsize=None)
-def _tree_tables(n: int) -> tuple[tuple, tuple, tuple]:
-    """For each tree of ``enumerate_trees(n)``: its Dec masks, its Inc masks
-    and its packed Dec masks.  Each tree is walked once per size."""
-    decs, incs, packed = [], [], []
+def _tree_tables(n: int) -> _Tables:
+    """The tables of every tree of size ``n``; each tree is walked once per
+    size."""
+    decs, incs, packed, inc_pairs, dec_pairs = [], [], [], [], []
     for t in enumerate_trees(n):
         up = relation_masks(t)
         decs.append(dec_masks(up))
         incs.append(inc_masks(up))
         packed.append(_pack(decs[-1]))
-    return tuple(decs), tuple(incs), tuple(packed)
+        inc, dec = _sorted_pairs(up)
+        inc_pairs.append(inc)
+        dec_pairs.append(dec)
+    indices = range(len(decs))
+    return _Tables(
+        tuple(decs),
+        tuple(incs),
+        tuple(packed),
+        tuple(sorted(indices, key=inc_pairs.__getitem__)),
+        tuple(sorted(indices, key=dec_pairs.__getitem__)),
+        tuple(map(json.dumps, inc_pairs)),
+        tuple(map(json.dumps, dec_pairs)),
+    )
+
+
+def _interval_pairs(tables: _Tables) -> Iterator[tuple[int, int]]:
+    """(lower, upper) tree indices of every Tamari interval, in the
+    :meth:`IntervalPoset.sort_key` order of their posets.
+
+    The poset of [S, T] has Inc(T) as its increasing pairs and Dec(S) as
+    its decreasing ones, and a tree is fixed by either, so sorting the
+    posets is sorting the upper trees by Inc pairs, then the lower trees
+    by Dec pairs.  S <= T is Dec inclusion on packed masks.
+    """
+    lowers = [(i, tables.packed[i]) for i in tables.by_dec]
+    for upper in tables.by_inc:
+        outside = ~tables.packed[upper]
+        for lower in [i for i, low in lowers if not low & outside]:
+            yield lower, upper
+
+
+def _interval_poset(tables: _Tables, lower: int, upper: int) -> IntervalPoset:
+    """Dec(lower) | Inc(upper), trusted: for lower <= upper it is already
+    the closed interval-poset of the interval (Chatel-Pons).  The
+    enumeration tests validate every one of them up to size 8."""
+    return _build(IntervalPoset, tuple(map(or_, tables.decs[lower], tables.incs[upper])))
 
 
 def enumerate_interval_posets(n: int) -> list[IntervalPoset]:
     """All interval-posets of size n, ordered lexicographically on the
     (sorted inc, sorted dec) pair lists.
 
-    Generated from every comparable tree pair (Dec inclusion on packed
-    masks) as Dec(lower) | Inc(upper), each validated once; this doubles
-    as the oracle for the counts.  Each size is enumerated once per
-    process; every call returns a fresh list.
+    Generated in that order from every comparable tree pair as
+    Dec(lower) | Inc(upper), with no sort and no validation.  Each size is
+    enumerated once per process; every call returns a fresh list.
     """
     if n < 1:
         raise ValueError("size must be at least 1")
@@ -339,14 +388,29 @@ def enumerate_interval_posets(n: int) -> list[IntervalPoset]:
 
 @lru_cache(maxsize=None)
 def _enumerate(n: int) -> tuple[IntervalPoset, ...]:
-    decs, incs, packed = _tree_tables(n)
-    out = []
-    for lower, low in zip(decs, packed):
-        for upper, high in zip(incs, packed):
-            if low & ~high == 0:
-                out.append(_validated([a | b for a, b in zip(lower, upper)]))
-    out.sort(key=IntervalPoset.sort_key)
-    return tuple(out)
+    tables = _tree_tables(n)
+    return tuple(
+        _interval_poset(tables, lower, upper)
+        for lower, upper in _interval_pairs(tables)
+    )
+
+
+def stream_interval_posets(n: int) -> Iterator[tuple[IntervalPoset, str]]:
+    """Each interval-poset of size n with its :func:`poset_to_json` line,
+    lazily and in the order of :func:`enumerate_interval_posets`.  A line
+    is joined from the JSON of the upper tree's Inc pairs and the lower
+    tree's Dec pairs; no list of posets is held."""
+    if n < 1:
+        raise ValueError("size must be at least 1")
+    tables = _tree_tables(n)
+    head = f'{{"size": {n}, "inc": '
+    return (
+        (
+            _interval_poset(tables, lower, upper),
+            head + tables.inc_json[upper] + ', "dec": ' + tables.dec_json[lower] + "}",
+        )
+        for lower, upper in _interval_pairs(tables)
+    )
 
 
 def mirror_poset(p: IntervalPoset) -> IntervalPoset:
@@ -360,7 +424,7 @@ def interval_members(p: IntervalPoset) -> list[Tree]:
     """All trees lying in the interval encoded by ``p``, by Dec-inclusion."""
     lower, upper = to_interval(p).masks
     low, high = _pack(dec_masks(lower)), _pack(dec_masks(upper))
-    packed = _tree_tables(p.n)[2]
+    packed = _tree_tables(p.n).packed
     return [
         t for t, dec in zip(enumerate_trees(p.n), packed)
         if low & ~dec == 0 and dec & ~high == 0

@@ -73,14 +73,14 @@ def enumerate_trees(n: int) -> tuple[Tree, ...]:
     return tuple(out)
 
 
-def relation_masks(t: Tree) -> tuple[int, ...]:
-    """The induced relation of ``t`` as up-set masks: bit ``j - 1`` of entry
-    ``i - 1`` is set iff vertex i lies strictly inside the subtree rooted at
-    j.  One iterative in-order walk; the subtree of j covers the contiguous
-    labels of its span, so its descendant mask is a run of ones."""
+def subtree_spans(t: Tree) -> list[tuple[int, int, int]]:
+    """(label, first, last) for the subtree rooted at each vertex of ``t``:
+    its in-order label and the first and last labels the subtree covers,
+    children before parents.  One iterative in-order walk, so depth is
+    unlimited; the empty tree has no spans."""
+    spans: list[tuple[int, int, int]] = []
     if t is None:
-        raise ValueError("the empty tree induces no labelled poset")
-    spans: list[tuple[int, int, int]] = []  # (label, first, last)
+        return spans
     # frames: (node, first label of its subtree, own label or 0 before the
     # left subtree is done)
     stack: list[tuple[BinaryTree, int, int]] = [(t, 1, 0)]
@@ -99,7 +99,18 @@ def relation_masks(t: Tree) -> tuple[int, ...]:
                 stack.append((node.right, nxt, 0))
         else:
             spans.append((mid, lo, nxt - 1))
-    up = [0] * (nxt - 1)
+    return spans
+
+
+def relation_masks(t: Tree) -> tuple[int, ...]:
+    """The induced relation of ``t`` as up-set masks: bit ``j - 1`` of entry
+    ``i - 1`` is set iff vertex i lies strictly inside the subtree rooted at
+    j.  The subtree of j covers the contiguous labels of its span, so its
+    descendant mask is a run of ones."""
+    if t is None:
+        raise ValueError("the empty tree induces no labelled poset")
+    spans = subtree_spans(t)
+    up = [0] * len(spans)
     for (j, lo, hi) in spans:
         bit = 1 << (j - 1)
         for i in range(lo - 1, hi):

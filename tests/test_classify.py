@@ -155,6 +155,35 @@ class TestNewInterval:
             interval = to_interval(p)
             assert classify.is_new_interval(interval) == classify.is_new_ip(p)
 
+    def test_deep_combs(self):
+        # 3,000 deep: the spans come from an iterative walk
+        n = 3000
+        assert classify.is_new_interval(TamariInterval(left_comb(n), right_comb(n)))
+        assert classify.leaf_spans(left_comb(n)) == {(1, k + 1) for k in range(1, n + 1)}
+
+
+def recursive_leaf_spans(t):
+    """The recursive leaf-span walk that ``leaf_spans`` replaced."""
+    spans = set()
+
+    def go(node, lo):
+        # returns index of the first leaf right of this subtree
+        if node is None:
+            return lo + 1
+        mid = go(node.left, lo)
+        hi = go(node.right, mid)
+        spans.add((lo, hi - 1))
+        return hi
+
+    go(t, 1)
+    return spans
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7])
+def test_leaf_spans_match_the_recursive_walk(n):
+    for t in enumerate_trees(n):
+        assert classify.leaf_spans(t) == recursive_leaf_spans(t)
+
 
 class TestNiceShape:
     def test_new_size_two_interval(self):

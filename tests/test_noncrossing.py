@@ -238,6 +238,55 @@ class TestNoncrossingPartition:
         crossing = (((1, 3), (2, 4)))
         assert all(p.blocks != crossing for p in enumerate_ncp(4))
 
+    def test_size_is_stored_outside_equality_hash_and_repr(self):
+        p = make_partition([[1, 3], [2]])
+        assert p.n == 3
+        assert repr(p) == "NoncrossingPartition(blocks=((1, 3), (2,)))"
+        assert p == NoncrossingPartition(((1, 3), (2,)))
+        assert hash(p) == hash((p.blocks,))  # the generated hash, without n
+        assert ncp_to_json(p) == '{"n": 3, "blocks": [[1, 3], [2]]}'
+
+    def test_many_singletons(self):
+        p = make_partition([[k] for k in range(1, 3001)])
+        assert p.n == 3000 and len(p.blocks) == 3000
+
+
+def pairwise_crossings(blocks):
+    """The all-pairs crossing test the stack pass replaced: the pairs of
+    blocks, in block order, with i < j < k < l for i, k in the first and
+    j, l in the second."""
+    return [
+        (b1, b2)
+        for b1, b2 in itertools.combinations(blocks, 2)
+        for i, k in itertools.combinations(b1, 2)
+        if any(i < j < k < l for j in b2 for l in b2)
+    ]
+
+
+def set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield [[first]] + part
+        for idx in range(len(part)):
+            yield part[:idx] + [[first] + part[idx]] + part[idx + 1:]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_crossing_check_matches_the_pairwise_oracle(n):
+    for part in set_partitions(list(range(1, n + 1))):
+        blocks = tuple(sorted(tuple(sorted(b)) for b in part))
+        crossings = pairwise_crossings(blocks)
+        if not crossings:
+            assert make_partition(part).blocks == blocks
+            continue
+        with pytest.raises(ValueError) as info:
+            make_partition(part)
+        named = {f"blocks {b1} and {b2} cross" for b1, b2 in crossings}
+        assert str(info.value) in named
+
 
 class TestPartitionTreeBijection:
     def test_combs(self):
