@@ -94,19 +94,6 @@ def is_infinitely_modern(p: IntervalPoset) -> bool:
     return s.dr <= s.ir
 
 
-def avoids_long_crossing(p: IntervalPoset) -> bool:
-    """No w <| x and z <| y with w < x < y < z, as literally stated.
-
-    Not authoritative: the literal strict pattern misses posets like
-    {1 <| 2, 3 <| 2} whose first rise already fails, so infinite
-    modernity is decided by :func:`is_infinitely_modern` instead.
-    """
-    down = p.down
-    incs = [x for x, below in enumerate(down) if below & ((1 << x) - 1)]
-    decs = [y for y, below in enumerate(down) if below >> (y + 1)]
-    return not (incs and decs and incs[0] < decs[-1])
-
-
 def leaf_spans(t: Tree) -> set[tuple[int, int]]:
     """Leaf intervals [i, j] of all nonempty subtrees, leaves numbered
     1..size+1 left to right: the subtree covering labels lo..hi has leaves

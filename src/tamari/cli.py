@@ -32,7 +32,6 @@ from .noncrossing import (
 from .posets import (
     IntervalPoset,
     InvalidIntervalPoset,
-    enumerate_interval_posets,
     from_interval,
     poset_from_json,
     poset_to_json,
@@ -102,26 +101,32 @@ def cmd_enumerate(args, out) -> int:
     return 0
 
 
+def _classes(p: IntervalPoset) -> dict:
+    """The classification fields of a ``classify`` record; one ``stat``."""
+    s = classify.stat(p)
+    return {
+        "exceptional": classify.is_exceptional(p),
+        "modern": classify.is_modern(p),
+        "new": classify.is_new_ip(p),
+        "infinitely_modern": s.dr <= s.ir,  # as classify.is_infinitely_modern
+        "ir": s.ir,
+        "dr": s.dr,
+    }
+
+
 def cmd_classify(args, out) -> int:
     if args.poset is not None:
-        posets = [_parse_source("poset", args.poset)]
-    else:
-        if args.size is None:
-            raise UsageError("classify needs --size or --poset")
-        _check_bound(args.size, args.bound)
-        posets = enumerate_interval_posets(args.size)
-    for p in posets:
-        s = classify.stat(p)
+        p = _parse_source("poset", args.poset)
         record = poset_to_obj(p)
-        record.update(
-            exceptional=classify.is_exceptional(p),
-            modern=classify.is_modern(p),
-            new=classify.is_new_ip(p),
-            infinitely_modern=classify.is_infinitely_modern(p),
-            ir=s.ir,
-            dr=s.dr,
-        )
+        record.update(_classes(p))
         print(json.dumps(record), file=out)
+        return 0
+    if args.size is None:
+        raise UsageError("classify needs --size or --poset")
+    _check_bound(args.size, args.bound)
+    # each streamed line is the record's poset part: open it to append
+    for p, line in stream_interval_posets(args.size):
+        print(line[:-1] + ", " + json.dumps(_classes(p))[1:], file=out)
     return 0
 
 

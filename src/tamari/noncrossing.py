@@ -12,10 +12,11 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from . import classify
 from .posets import IntervalPoset, from_interval, make_poset
-from .trees import BinaryTree, TamariInterval, Tree, size
+from .trees import BinaryTree, TamariInterval, Tree, enumerate_trees, size
 
 Chord = tuple[int, int]
 
@@ -245,29 +246,12 @@ def make_partition(blocks) -> NoncrossingPartition:
     return NoncrossingPartition(tuple(sorted(tuple(sorted(b)) for b in blocks)))
 
 
-def _set_partitions(items: list[int]):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        yield [[first]] + part
-        for idx in range(len(part)):
-            yield part[:idx] + [[first] + part[idx]] + part[idx + 1:]
-
-
 def enumerate_ncp(n: int) -> list[NoncrossingPartition]:
-    """All noncrossing partitions of {1..n}; there are Catalan(n) of them."""
+    """All noncrossing partitions of {1..n}, sorted by blocks; there are
+    Catalan(n) of them, one per binary tree through :func:`partition_of_tree`."""
     if n < 1:
         raise ValueError("size must be at least 1")
-    out = []
-    for part in _set_partitions(list(range(1, n + 1))):
-        try:
-            out.append(make_partition(part))
-        except ValueError:
-            continue
-    out.sort(key=lambda p: p.blocks)
-    return out
+    return sorted(map(partition_of_tree, enumerate_trees(n)), key=attrgetter("blocks"))
 
 
 def partition_of_tree(t: Tree) -> NoncrossingPartition:

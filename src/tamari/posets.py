@@ -126,13 +126,6 @@ def _check_axioms(up: tuple[int, ...]) -> None:
                 raise IntervalConditionViolated(y, b, x, 2)
 
 
-def transitive_closure(pairs: frozenset[Pair]) -> frozenset[Pair]:
-    """Transitive closure of a relation on positive labels, reflexive pairs
-    omitted (a cycle yields both directions of each of its pairs)."""
-    n = max((max(pair) for pair in pairs), default=0)
-    return mask_pairs(_close(_masks(n, pairs)))
-
-
 @dataclass(frozen=True, init=False, repr=False, slots=True)
 class RangeRelation:
     """An arbitrary irreflexive relation on {1..n}.
@@ -241,14 +234,6 @@ def validate(rel: RangeRelation) -> IntervalPoset:
     minimal witness; on success returns the closed poset.
     """
     return _validated(list(rel.up))
-
-
-def is_valid(rel: RangeRelation) -> bool:
-    try:
-        validate(rel)
-    except InvalidIntervalPoset:
-        return False
-    return True
 
 
 def make_poset(n: int, pairs) -> IntervalPoset:

@@ -1,4 +1,4 @@
-"""Planar binary trees, the Tamari order and grafting.
+"""Planar binary trees, their induced relations and the Tamari order.
 
 A tree is either ``None`` (a leaf, size 0) or a :class:`BinaryTree` node
 holding an optional left and right subtree.  Vertices are implicitly
@@ -8,7 +8,6 @@ labelling), and all relation-producing operations use those labels.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -17,12 +16,37 @@ Tree = Optional["BinaryTree"]
 Masks = tuple[int, ...]  # up-set masks, one per vertex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinaryTree:
-    """An internal node of a planar binary tree; ``None`` children are leaves."""
+    """An internal node of a planar binary tree; ``None`` children are leaves.
+
+    Equality and hashing read the preorder word of the shape, 1 per node
+    and 0 per leaf, built without recursion: trees of any depth compare.
+    """
 
     left: Tree = None
     right: Tree = None
+
+    def _word(self) -> bytes:
+        word = bytearray()
+        stack: list[Tree] = [self]
+        while stack:
+            node = stack.pop()
+            if node is None:
+                word.append(0)
+            else:
+                word.append(1)
+                stack.append(node.right)
+                stack.append(node.left)
+        return bytes(word)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not BinaryTree:
+            return NotImplemented
+        return self is other or self._word() == other._word()
+
+    def __hash__(self) -> int:
+        return hash(self._word())
 
 
 Y = BinaryTree()  # the unique tree of size 1
@@ -105,17 +129,22 @@ def subtree_spans(t: Tree) -> list[tuple[int, int, int]]:
 def relation_masks(t: Tree) -> tuple[int, ...]:
     """The induced relation of ``t`` as up-set masks: bit ``j - 1`` of entry
     ``i - 1`` is set iff vertex i lies strictly inside the subtree rooted at
-    j.  The subtree of j covers the contiguous labels of its span, so its
-    descendant mask is a run of ones."""
+    j, that is, iff j is an ancestor of i.  Read in reverse, the spans list
+    parents before children, and a vertex's ancestors are its parent and
+    the parent's ancestors: one OR per vertex."""
     if t is None:
         raise ValueError("the empty tree induces no labelled poset")
     spans = subtree_spans(t)
     up = [0] * len(spans)
-    for (j, lo, hi) in spans:
-        bit = 1 << (j - 1)
-        for i in range(lo - 1, hi):
-            up[i] |= bit
-        up[j - 1] ^= bit
+    path: list[tuple[int, int, int]] = []  # the spans enclosing the current one
+    for span in reversed(spans):
+        j = span[0]
+        while path and not path[-1][1] <= j <= path[-1][2]:
+            path.pop()
+        if path:
+            parent = path[-1][0]
+            up[j - 1] = up[parent - 1] | 1 << (parent - 1)
+        path.append(span)
     return tuple(up)
 
 
@@ -140,22 +169,6 @@ def inc_masks(up) -> tuple[int, ...]:
     return tuple(mask >> (i + 1) << (i + 1) for i, mask in enumerate(up))
 
 
-def tree_relations(t: Tree) -> frozenset[tuple[int, int]]:
-    """The induced relation of ``t``: (i, j) present iff vertex i lies in the
-    subtree rooted at j.  Reflexive pairs are omitted."""
-    return mask_pairs(relation_masks(t))
-
-
-def dec_relations(t: Tree) -> frozenset[tuple[int, int]]:
-    """Decreasing relations of ``t``: pairs (b, a) with a < b and b <| a."""
-    return mask_pairs(dec_masks(relation_masks(t)))
-
-
-def inc_relations(t: Tree) -> frozenset[tuple[int, int]]:
-    """Increasing relations of ``t``: pairs (a, b) with a < b and a <| b."""
-    return mask_pairs(inc_masks(relation_masks(t)))
-
-
 def _compared(t1: Tree, t2: Tree) -> tuple[bool, tuple[Masks, Masks]]:
     """Whether t1 <= t2 by inclusion of decreasing relations, and the
     relation masks of both trees (empty for empty trees); one walk each."""
@@ -173,44 +186,6 @@ def _compared(t1: Tree, t2: Tree) -> tuple[bool, tuple[Masks, Masks]]:
 def tamari_leq(t1: Tree, t2: Tree) -> bool:
     """Tamari comparison via inclusion of decreasing relations."""
     return _compared(t1, t2)[0]
-
-
-def covers(t: Tree) -> list[Tree]:
-    """All trees obtained from ``t`` by one left rotation ((A B) C) -> (A (B C))."""
-    if t is None:
-        return []
-    out: list[Tree] = []
-    if t.left is not None:
-        out.append(BinaryTree(t.left.left, BinaryTree(t.left.right, t.right)))
-    out.extend(BinaryTree(s, t.right) for s in covers(t.left))
-    out.extend(BinaryTree(t.left, s) for s in covers(t.right))
-    return out
-
-
-def graft(t: Tree, i: int, s: Tree) -> Tree:
-    """Graft the root of ``s`` on the i-th leaf of ``t`` (leaves are numbered
-    1..size(t)+1 from left to right)."""
-    n = size(t)
-    if not 1 <= i <= n + 1:
-        raise ValueError(f"leaf index {i} out of range 1..{n + 1}")
-
-    def go(node: Tree, lo: int) -> Tree:
-        # leaves of this subtree are numbered lo..lo+size(node)
-        if node is None:
-            return s
-        k = size(node.left)
-        if i <= lo + k:
-            return BinaryTree(go(node.left, lo), node.right)
-        return BinaryTree(node.left, go(node.right, lo + k + 1))
-
-    return go(t, 1)
-
-
-def mirror(t: Tree) -> Tree:
-    """Left/right reflection."""
-    if t is None:
-        return None
-    return BinaryTree(mirror(t.right), mirror(t.left))
 
 
 @dataclass(frozen=True)
@@ -243,33 +218,6 @@ def tree_to_text(t: Tree) -> str:
     if t is None:
         return "L"
     return f"({tree_to_text(t.left)} {tree_to_text(t.right)})"
-
-
-def tree_from_text(text: str) -> Tree:
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def parse() -> Tree:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of tree expression")
-        tok = tokens[pos]
-        pos += 1
-        if tok == "L":
-            return None
-        if tok != "(":
-            raise ValueError(f"unexpected token {tok!r}")
-        left = parse()
-        right = parse()
-        if pos >= len(tokens) or tokens[pos] != ")":
-            raise ValueError("missing closing parenthesis")
-        pos += 1
-        return BinaryTree(left, right)
-
-    t = parse()
-    if pos != len(tokens):
-        raise ValueError("trailing tokens in tree expression")
-    return t
 
 
 def tree_to_obj(t: Tree):
@@ -309,12 +257,3 @@ def tree_from_obj(obj) -> Tree:
             stack.append((right, False))
             stack.append((left, False))
     return built[0]
-
-
-def tree_to_json(t: Tree) -> str:
-    return json.dumps({"tree": tree_to_obj(t)})
-
-
-def tree_from_json(text: str) -> Tree:
-    return tree_from_obj(json.loads(text)["tree"])
-

@@ -36,7 +36,6 @@ GOLDEN = {
     "infinitely_modern": [1, 3, 12, 55, 273],
     "new": [1, 1, 3, 12, 56],  # n = 1 from enumeration; formula needs n >= 2
     "modern": [1, 3, 12, 56],
-    "noncrossing_trees": [1, 3, 12, 55, 273],
 }
 
 

@@ -3,6 +3,7 @@
 import itertools
 import time
 
+from oracles import tree_from_text
 from tamari import census, classify, risefall
 from tamari.noncrossing import (
     NoncrossingTree,
@@ -31,8 +32,8 @@ from tamari.trees import (
     BinaryTree,
     enumerate_trees,
     tamari_leq,
-    tree_from_text,
 )
+from tamari.verify import GOLDEN
 
 
 def report(number, ok, label):
@@ -45,7 +46,7 @@ def test_criterion_1_interval_counts():
     start = time.monotonic()
     counts = [len(enumerate_interval_posets(n)) for n in range(1, 7)]
     elapsed = time.monotonic() - start
-    golden = [1, 3, 13, 68, 399, 2530]
+    golden = GOLDEN["intervals"]
     formulas = [census.formula_intervals(n) for n in range(1, 7)]
     report(
         1,
@@ -115,7 +116,7 @@ def test_criterion_5_infinitely_modern():
             ok = ok and by_stat == risefall.iterated_rise_valid(p)
             count += by_stat
         if n <= 5:
-            ok = ok and count == [1, 3, 12, 55, 273][n - 1]
+            ok = ok and count == GOLDEN["infinitely_modern"][n - 1]
     report(5, ok, "dr <= ir matches the iterated-rise oracle, n<=6")
 
 

@@ -94,6 +94,14 @@ def test_output_hash_at_seven():
     )
 
 
+def test_classify_output_hash_at_seven():
+    out = io.StringIO()
+    assert main(["--bound", "7", "classify", "--size", "7"], out) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "7c90d8a7dc3010984c1d689f1ccedbc224c8c95a9d1130185275c177086cc7a9"
+    )
+
+
 def test_first_record_is_written_before_the_second_poset_is_built(monkeypatch):
     built = []
     trusted = posets._interval_poset

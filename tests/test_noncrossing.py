@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from oracles import bell_scan_ncp, tree_from_text
 from tamari import classify
 from tamari.noncrossing import (
     NoncrossingPartition,
@@ -32,7 +33,6 @@ from tamari.trees import (
     relation_masks,
     right_comb,
     size,
-    tree_from_text,
 )
 
 
@@ -234,6 +234,15 @@ class TestNoncrossingPartition:
         assert len(parts) == count == catalan(n)
         assert len(set(parts)) == len(parts)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_bell_scan(self, n):
+        assert enumerate_ncp(n) == bell_scan_ncp(n)
+
+    def test_size_below_one_rejected(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="at least 1"):
+                enumerate_ncp(n)
+
     def test_crossing_pattern_excluded_at_4(self):
         crossing = (((1, 3), (2, 4)))
         assert all(p.blocks != crossing for p in enumerate_ncp(4))
@@ -337,17 +346,18 @@ class TestPartitionTreeBijection:
             assert partition_of_tree(t) == self.recursive_partition_of_tree(t)
 
     def test_deep_combs(self):
-        # deeper than the interpreter's recursion limit; tree equality
-        # recurses, so the trees are compared by their relation masks
+        # deeper than the interpreter's recursion limit
         n = 1200
         singletons = make_partition([[k] for k in range(1, n + 1)])
         assert partition_of_tree(left_comb(n)) == singletons
         got = tree_of_partition(singletons)
         assert relation_masks(got) == relation_masks(left_comb(n))
+        assert got == left_comb(n)
         one_block = make_partition([range(1, n + 1)])
         assert partition_of_tree(right_comb(n)) == one_block
         got = tree_of_partition(one_block)
         assert relation_masks(got) == relation_masks(right_comb(n))
+        assert got == right_comb(n)
 
 
 class TestRefinementOrder:

@@ -4,6 +4,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import dec_relations, inc_relations, is_valid, mirror, transitive_closure
 from tamari.posets import (
     IntervalConditionViolated,
     IntervalPoset,
@@ -12,22 +13,18 @@ from tamari.posets import (
     enumerate_interval_posets,
     from_interval,
     interval_members,
-    is_valid,
     linear_extensions,
     make_poset,
     mirror_poset,
     poset_from_json,
     poset_to_json,
     to_interval,
-    transitive_closure,
     tree_poset,
     validate,
 )
 from tamari.trees import (
     TamariInterval,
-    dec_relations,
     enumerate_trees,
-    inc_relations,
     left_comb,
     relation_masks,
     right_comb,
@@ -231,8 +228,6 @@ class TestMirrorPoset:
             assert mirror_poset(mirror_poset(p)) == p
 
     def test_commutes_with_tree_mirror(self):
-        from tamari.trees import mirror
-
         for p in enumerate_interval_posets(3):
             interval = to_interval(p)
             mirrored = TamariInterval(

@@ -1,15 +1,15 @@
 import pytest
 
+from oracles import graft, is_valid
 from tamari import classify, risefall
 from tamari.posets import (
     RangeRelation,
     enumerate_interval_posets,
-    is_valid,
     make_poset,
     to_interval,
     validate,
 )
-from tamari.trees import Y, graft
+from tamari.trees import Y
 
 
 def stat_classes(n):

@@ -3,25 +3,27 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from tamari.posets import transitive_closure
-from tamari.trees import (
-    Y,
+from oracles import (
     covers,
     dec_relations,
-    enumerate_trees,
     graft,
     inc_relations,
-    left_comb,
     mirror,
+    span_or_relation_masks,
+    transitive_closure,
+    tree_from_text,
+    tree_relations,
+)
+from tamari.trees import (
+    Y,
+    BinaryTree,
+    enumerate_trees,
+    left_comb,
     relation_masks,
     right_comb,
     size,
     tamari_leq,
-    tree_from_json,
     tree_from_obj,
-    tree_from_text,
-    tree_relations,
-    tree_to_json,
     tree_to_obj,
     tree_to_text,
 )
@@ -90,6 +92,50 @@ class TestDeepTrees:
         n = 1500
         up = relation_masks(left_comb(n))
         assert up == tuple((1 << n) - (1 << i) for i in range(1, n + 1))
+
+    def test_relation_masks_match_the_span_or_oracle_on_deep_combs(self):
+        for t in (left_comb(3000), right_comb(3000)):
+            assert relation_masks(t) == span_or_relation_masks(t)
+
+    def test_equality_and_hash_of_deep_combs(self):
+        a, b = left_comb(3000), left_comb(3000)
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert a != right_comb(3000)
+        assert a != left_comb(2999)
+        # two 3,000-node trees that differ only in their deepest node
+        c, d = BinaryTree(left=Y), BinaryTree(right=Y)
+        for _ in range(2998):
+            c, d = BinaryTree(left=c), BinaryTree(left=d)
+        assert size(c) == size(d) == 3000 and c != d
+        assert {a, b, c} == {a, c}
+
+
+class TestRelationMasks:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_match_the_span_or_oracle(self, n):
+        for t in enumerate_trees(n):
+            assert relation_masks(t) == span_or_relation_masks(t)
+
+
+class TestEquality:
+    def test_by_shape(self):
+        assert BinaryTree() == Y and BinaryTree(Y, None) == left_comb(2)
+        assert left_comb(2) != right_comb(2)
+        assert Y != None and None != Y
+        assert BinaryTree() != (None, None)
+
+    def test_hash_agrees_with_equality(self):
+        for n in range(6):
+            for t in enumerate_trees(n):
+                if t is not None:
+                    twin = tree_from_obj(tree_to_obj(t))
+                    assert twin == t and hash(twin) == hash(t)
+
+    def test_frozen(self):
+        with pytest.raises(AttributeError):
+            Y.left = Y
 
 
 class TestInducedPoset:
@@ -266,10 +312,6 @@ class TestSerialization:
 
     def test_left_comb_text(self):
         assert tree_to_text(left_comb(2)) == "((L L) L)"
-
-    def test_json_round_trip(self):
-        for t in enumerate_trees(4):
-            assert tree_from_json(tree_to_json(t)) == t
 
     def test_bad_text(self):
         for bad in ["", "(L", "(L L) L", "x", "(L L L)"]:
