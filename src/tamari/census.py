@@ -8,7 +8,7 @@ from math import comb, factorial
 
 from . import classify
 from .noncrossing import enumerate_ncp, enumerate_nct, ncp_leq
-from .posets import enumerate_interval_posets, to_interval
+from .posets import enumerate_interval_posets, universe
 from .trees import enumerate_trees
 
 DEFAULT_BOUND = 6
@@ -94,17 +94,18 @@ def census(n: int, bound: int = DEFAULT_BOUND) -> CensusRow:
     """Exhaustive counts at size n, with every closed formula asserted."""
     if n > bound:
         raise ValueError(f"size {n} exceeds the configured bound {bound}")
-    posets = enumerate_interval_posets(n)
-    new_count = sum(
-        classify.is_new_interval(to_interval(p)) for p in posets
-    )
+    u = universe(n)
+    posets = u.posets
     ncps = enumerate_ncp(n)
     row = CensusRow(
         n=n,
         intervals=len(posets),
         exceptional=sum(classify.is_exceptional(p) for p in posets),
         modern=sum(classify.is_modern(p) for p in posets),
-        new=new_count,
+        new=sum(
+            classify.is_new_pair(n, lower, upper)
+            for lower, upper in zip(u.lowers, u.uppers)
+        ),
         infinitely_modern=sum(classify.is_infinitely_modern(p) for p in posets),
         trees=len(enumerate_trees(n)),
         noncrossing_trees=len(enumerate_nct(n)),

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import or_
 from typing import Iterator, NamedTuple
 
@@ -358,26 +358,52 @@ def _interval_poset(tables: _Tables, lower: int, upper: int) -> IntervalPoset:
     return _build(IntervalPoset, tuple(map(or_, tables.decs[lower], tables.incs[upper])))
 
 
+class Universe(NamedTuple):
+    """Every interval-poset of one size with the indices of its two trees.
+
+    ``lowers[i]`` and ``uppers[i]`` index into ``trees`` the bounds of the
+    interval whose poset is ``posets[i]``; ``tables`` are the per-tree
+    tables all of them were built from.  Checks that read only trees or
+    pairs of trees read these, not the posets.
+    """
+
+    trees: tuple[Tree, ...]  # enumerate_trees(n)
+    tables: _Tables
+    lowers: tuple[int, ...]
+    uppers: tuple[int, ...]
+    posets: tuple[IntervalPoset, ...]
+
+
+@lru_cache(maxsize=None)
+def universe(n: int) -> Universe:
+    """The :class:`Universe` of size ``n``, built once per process; the
+    one cache behind :func:`enumerate_interval_posets`."""
+    if n < 1:
+        raise ValueError("size must be at least 1")
+    tables = _tree_tables(n)
+    # two flat tuples, not one of pairs: a pair tuple per poset would cost
+    # more than the two index tuples together
+    lowers: list[int] = []
+    uppers: list[int] = []
+    for lower, upper in _interval_pairs(tables):
+        lowers.append(lower)
+        uppers.append(upper)
+    lows, ups = tuple(lowers), tuple(uppers)
+    del lowers, uppers  # freed before the posets are built
+    posets = tuple(map(partial(_interval_poset, tables), lows, ups))
+    return Universe(enumerate_trees(n), tables, lows, ups, posets)
+
+
 def enumerate_interval_posets(n: int) -> list[IntervalPoset]:
     """All interval-posets of size n, ordered lexicographically on the
     (sorted inc, sorted dec) pair lists.
 
     Generated in that order from every comparable tree pair as
     Dec(lower) | Inc(upper), with no sort and no validation.  Each size is
-    enumerated once per process; every call returns a fresh list.
+    enumerated once per process, in its :func:`universe`; every call
+    returns a fresh list.
     """
-    if n < 1:
-        raise ValueError("size must be at least 1")
-    return list(_enumerate(n))
-
-
-@lru_cache(maxsize=None)
-def _enumerate(n: int) -> tuple[IntervalPoset, ...]:
-    tables = _tree_tables(n)
-    return tuple(
-        _interval_poset(tables, lower, upper)
-        for lower, upper in _interval_pairs(tables)
-    )
+    return list(universe(n).posets)
 
 
 def stream_interval_posets(n: int) -> Iterator[tuple[IntervalPoset, str]]:

@@ -9,6 +9,7 @@ the result need not be a poset; validity is a separate, testable step.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import lru_cache
 from itertools import islice
 
 from .classify import stat
@@ -17,6 +18,8 @@ from .posets import (
     InvalidIntervalPoset,
     RangeRelation,
     _build,
+    _pack,
+    _tree_tables,
     _validated,
 )
 from .trees import Masks, dec_masks, inc_masks
@@ -105,6 +108,37 @@ def iterated_rise_valid(p: IntervalPoset, k_max: int | None = None) -> bool:
         except InvalidIntervalPoset:
             return False
     return True
+
+
+@lru_cache(maxsize=None)
+def _rise_bounds(n: int) -> tuple[int, ...]:
+    """R(T) for each tree T of ``enumerate_trees(n)``: the AND over
+    k = 1..n+1 of the packed first n Dec masks of k (+) T, the tree that
+    puts the chain 1..k, each vertex the right child of the one before,
+    above T relabelled by +k.  Entry i (0-based) of its Dec masks is
+    ``(1 << i) - 1`` for i < k, else ``(1 << k) - 1 | Dec(T)[i - k] << k``."""
+    bounds = []
+    for dec in _tree_tables(n).decs:
+        bound = -1
+        for k in range(1, n + 2):
+            bound &= _pack(
+                [(1 << i) - 1 if i < k else (1 << k) - 1 | dec[i - k] << k
+                 for i in range(n)]
+            )
+        bounds.append(bound)
+    return tuple(bounds)
+
+
+def all_rises_valid(n: int, lower: int, upper: int) -> bool:
+    """:func:`iterated_rise_valid` on the poset Dec(S) | Inc(T) of trees
+    S <= T, given by their indices in ``enumerate_trees(n)``, as one AND.
+
+    The k-th rise of Dec(S) | Inc(T) is Dec(S (+)' k) | Inc(k (+) T), where
+    S (+)' k puts vertices n+1..n+k above S as a left chain.  By
+    Chatel-Pons it validates iff Dec(S (+)' k) is inside Dec(k (+) T).  On
+    labels 1..n, Dec(S (+)' k) is Dec(S), and above them it is empty, so
+    all n + 1 rises validate iff packed Dec(S) lies inside R(T)."""
+    return not _tree_tables(n).packed[lower] & ~_rise_bounds(n)[upper]
 
 
 def insert_fik(p: IntervalPoset, i: int, k: int) -> IntervalPoset:

@@ -16,12 +16,13 @@ Tree = Optional["BinaryTree"]
 Masks = tuple[int, ...]  # up-set masks, one per vertex
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class BinaryTree:
     """An internal node of a planar binary tree; ``None`` children are leaves.
 
     Equality and hashing read the preorder word of the shape, 1 per node
     and 0 per leaf, built without recursion: trees of any depth compare.
+    The repr is the dataclass one, also built without recursion.
     """
 
     left: Tree = None
@@ -47,6 +48,9 @@ class BinaryTree:
 
     def __hash__(self) -> int:
         return hash(self._word())
+
+    def __repr__(self) -> str:
+        return _render(self, "None", "BinaryTree(left=", ", right=", ")")
 
 
 Y = BinaryTree()  # the unique tree of size 1
@@ -213,11 +217,27 @@ class TamariInterval:
 
 # -- serialization ----------------------------------------------------------
 
+def _render(t: Tree, leaf: str, head: str, middle: str, tail: str) -> str:
+    """``leaf`` for a leaf, ``head left middle right tail`` for a node;
+    iterative, so depth is unlimited."""
+    parts: list[str] = []
+    # items: a tree still to render, or text to emit as it is
+    stack: list = [t]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif item is None:
+            parts.append(leaf)
+        else:
+            parts.append(head)
+            stack += (tail, item.right, middle, item.left)
+    return "".join(parts)
+
+
 def tree_to_text(t: Tree) -> str:
     """`L` for a leaf, `(left right)` for a node."""
-    if t is None:
-        return "L"
-    return f"({tree_to_text(t.left)} {tree_to_text(t.right)})"
+    return _render(t, "L", "(", " ", ")")
 
 
 def tree_to_obj(t: Tree):

@@ -19,12 +19,14 @@ from .noncrossing import (
     tree_of_partition,
 )
 from .posets import (
+    _lower_tree,
+    _upper_tree,
     enumerate_interval_posets,
-    from_interval,
     interval_members,
     linear_extensions,
     to_interval,
     tree_poset,
+    universe,
     validate,
 )
 from .trees import enumerate_trees, tamari_leq, tree_to_text
@@ -38,6 +40,20 @@ GOLDEN = {
     "modern": [1, 3, 12, 56],
 }
 
+# Size caps: a check with a cap covers n <= min(max_size, cap); the other
+# checks cover every n up to max_size.  Caps only go up.
+EXCEPTIONAL_CAP = 5  # the NC-partition image scans every partition pair
+NEW_CAP = 5  # where GOLDEN["new"] ends; both tests are cheap masks
+MODERN_SHIFT_CAP = 4  # relates size n to size n + 1
+INSERT_REMOVE_CAP = 4  # relates size n to size n + 1
+NCT_ROUND_TRIP_CAP = 4
+PARTITION_ROUND_TRIP_CAP = 5
+REFINEMENT_SIZE = 4  # refinement -> Tamari order, checked at this size only
+LINEAR_EXTENSIONS_CAP = 4  # extensions grow like n!
+# Two checks compare with GOLDEN, and stop where their table does.
+INTERVALS_GOLDEN_CAP = len(GOLDEN["intervals"])
+INFINITELY_MODERN_GOLDEN_CAP = len(GOLDEN["infinitely_modern"])
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -47,7 +63,7 @@ class CheckResult:
 
 
 def _check_interval_counts(max_size: int) -> str:
-    for n in range(1, min(max_size, len(GOLDEN["intervals"])) + 1):
+    for n in range(1, min(max_size, INTERVALS_GOLDEN_CAP) + 1):
         got = len(enumerate_interval_posets(n))
         want = GOLDEN["intervals"][n - 1]
         formula = census.formula_intervals(n)
@@ -57,7 +73,7 @@ def _check_interval_counts(max_size: int) -> str:
 
 
 def _check_exceptional(max_size: int) -> str:
-    for n in range(1, min(max_size, 5) + 1):
+    for n in range(1, min(max_size, EXCEPTIONAL_CAP) + 1):
         posets = enumerate_interval_posets(n)
         exceptional = {p for p in posets if classify.is_exceptional(p)}
         want = GOLDEN["exceptional"][n - 1]
@@ -79,17 +95,16 @@ def _check_exceptional(max_size: int) -> str:
 
 
 def _check_new(max_size: int) -> str:
-    for n in range(2, min(max_size, 5) + 1):
-        posets = enumerate_interval_posets(n)
+    for n in range(2, min(max_size, NEW_CAP) + 1):
+        u = universe(n)
         count = 0
-        for p in posets:
-            interval = to_interval(p)
-            by_tree = classify.is_new_interval(interval)
+        for p, lower, upper in zip(u.posets, u.lowers, u.uppers):
+            by_tree = classify.is_new_pair(n, lower, upper)
             by_poset = classify.is_new_ip(p)
             if by_tree != by_poset:
                 return (
                     f"n={n}: oracles disagree on "
-                    f"[{tree_to_text(interval.lower)}, {tree_to_text(interval.upper)}]"
+                    f"[{tree_to_text(u.trees[lower])}, {tree_to_text(u.trees[upper])}]"
                 )
             count += by_tree
         want = GOLDEN["new"][n - 1]
@@ -99,7 +114,7 @@ def _check_new(max_size: int) -> str:
 
 
 def _check_modern_shift(max_size: int) -> str:
-    for n in range(1, min(max_size, 4) + 1):
+    for n in range(1, min(max_size, MODERN_SHIFT_CAP) + 1):
         moderns = [p for p in enumerate_interval_posets(n) if classify.is_modern(p)]
         if len(moderns) != GOLDEN["modern"][n - 1]:
             return f"n={n}: {len(moderns)} modern, golden {GOLDEN['modern'][n-1]}"
@@ -127,15 +142,16 @@ def _check_modern_shift(max_size: int) -> str:
 
 def _check_infinitely_modern(max_size: int) -> str:
     for n in range(1, max_size + 1):
-        posets = enumerate_interval_posets(n)
+        u = universe(n)
         count = 0
-        for p in posets:
+        for p, lower, upper in zip(u.posets, u.lowers, u.uppers):
             by_stat = classify.is_infinitely_modern(p)
-            by_rise = risefall.iterated_rise_valid(p)
+            by_rise = risefall.all_rises_valid(n, lower, upper)
             if by_stat != by_rise:
                 return f"n={n}: stat and iterated-rise oracles disagree"
             count += by_stat
-        if n <= 5 and count != GOLDEN["infinitely_modern"][n - 1]:
+        golden = GOLDEN["infinitely_modern"]
+        if n <= INFINITELY_MODERN_GOLDEN_CAP and count != golden[n - 1]:
             return f"n={n}: {count} infinitely modern, golden wrong"
     return ""
 
@@ -152,7 +168,7 @@ def _check_triangle(max_size: int) -> str:
 
 
 def _check_insert_remove(max_size: int) -> str:
-    for n in range(1, min(max_size, 4) + 1):
+    for n in range(1, min(max_size, INSERT_REMOVE_CAP) + 1):
         classes: dict[tuple[int, int], list] = {}
         for p in enumerate_interval_posets(n + 1):
             s = classify.stat(p)
@@ -177,23 +193,28 @@ def _check_insert_remove(max_size: int) -> str:
 
 
 def _check_roundtrips(max_size: int) -> str:
+    # to_interval(Dec(S) | Inc(T)) rebuilds S from Dec(S) and T from Inc(T),
+    # and from_interval reads both back from the walked trees, so every
+    # enumerated poset round-trips iff every tree is rebuilt from its Dec
+    # masks and from its Inc masks
     for n in range(1, max_size + 1):
-        for p in enumerate_interval_posets(n):
-            if from_interval(to_interval(p)) != p:
-                return f"n={n}: interval round trip fails"
-    for n in range(1, min(max_size, 4) + 1):
+        u = universe(n)
+        for t, dec, inc in zip(u.trees, u.tables.decs, u.tables.incs):
+            if _lower_tree(dec) != t or _upper_tree(inc) != t:
+                return f"n={n}: interval round trip fails at {tree_to_text(t)}"
+    for n in range(1, min(max_size, NCT_ROUND_TRIP_CAP) + 1):
         for t in enumerate_nct(n):
             if poset_to_nct(nct_to_poset(t)) != t:
                 return f"n={n}: noncrossing-tree round trip fails"
-    for n in range(1, min(max_size, 5) + 1):
+    for n in range(1, min(max_size, PARTITION_ROUND_TRIP_CAP) + 1):
         for t in enumerate_trees(n):
             if tree_of_partition(partition_of_tree(t)) != t:
                 return f"n={n}: partition round trip fails"
         for pi in enumerate_ncp(n):
             if partition_of_tree(tree_of_partition(pi)) != pi:
                 return f"n={n}: partition round trip fails (partition side)"
-    if max_size >= 4:
-        ncps = enumerate_ncp(4)
+    if max_size >= REFINEMENT_SIZE:
+        ncps = enumerate_ncp(REFINEMENT_SIZE)
         for p1 in ncps:
             for p2 in ncps:
                 if ncp_leq(p1, p2) and not tamari_leq(
@@ -204,7 +225,7 @@ def _check_roundtrips(max_size: int) -> str:
 
 
 def _check_linear_extensions(max_size: int) -> str:
-    for n in range(1, min(max_size, 4) + 1):
+    for n in range(1, min(max_size, LINEAR_EXTENSIONS_CAP) + 1):
         for p in enumerate_interval_posets(n):
             whole = linear_extensions(p.n, p.relations)
             parts: list[tuple[int, ...]] = []

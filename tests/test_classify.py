@@ -2,12 +2,13 @@ import math
 
 import pytest
 
-from oracles import avoids_long_crossing
+from oracles import avoids_long_crossing, leaf_span_set_is_new
 from tamari import classify
 from tamari.posets import (
     enumerate_interval_posets,
     make_poset,
     to_interval,
+    universe,
 )
 from tamari.trees import (
     TamariInterval,
@@ -161,6 +162,32 @@ class TestNewInterval:
         n = 3000
         assert classify.is_new_interval(TamariInterval(left_comb(n), right_comb(n)))
         assert classify.leaf_spans(left_comb(n)) == {(1, k + 1) for k in range(1, n + 1)}
+
+
+class TestPackedLeafSpans:
+    """The packed leaf-span test against the set test it replaces."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
+    def test_mask_bits_are_the_spans(self, n):
+        for t in enumerate_trees(n):
+            mask = classify.leaf_span_mask(t)
+            bits = {i for i in range(mask.bit_length()) if mask >> i & 1}
+            assert bits == {lo * (n + 2) + hi for (lo, hi) in classify.leaf_spans(t)}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_equals_the_set_test(self, n):
+        u = universe(n)
+        for p, lower, upper in zip(u.posets, u.lowers, u.uppers):
+            interval = to_interval(p)
+            by_sets = leaf_span_set_is_new(interval)
+            assert classify.is_new_interval(interval) == by_sets
+            assert classify.is_new_pair(n, lower, upper) == by_sets
+
+    def test_deep_combs(self):
+        n = 3000
+        assert classify.leaf_span_mask(left_comb(n)) == sum(
+            1 << (n + 2 + k + 1) for k in range(1, n + 1)
+        )
 
 
 def recursive_leaf_spans(t):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import tamari
 from tamari import verify
-from tamari.cli import BROKEN_PIPE, main
+from tamari.cli import BROKEN_PIPE, MAX_OBJECT_SIZE, main
 from tamari.noncrossing import enumerate_ncp, enumerate_nct, ncp_to_json, nct_to_json
 from tamari.posets import (
     enumerate_interval_posets,
@@ -366,6 +366,20 @@ class TestDeepPartitions:
         assert got["lower"] == got["upper"] == {"n": self.N, "blocks": self.singletons()}
 
 
+class TestSizeLimit:
+    def test_oversized_poset_is_refused_before_it_is_built(self, capsys):
+        code, text = run(["classify", "--poset", '{"size": 100000000}'])
+        assert code == 2
+        assert text == ""
+        assert one_error_line(capsys)
+
+    def test_the_limit_itself_is_accepted(self):
+        blob = json.dumps({"size": MAX_OBJECT_SIZE, "inc": [], "dec": []})
+        code, text = run(["export", "--format", "json", "--input", blob])
+        assert code == 0
+        assert json.loads(text)["size"] == MAX_OBJECT_SIZE
+
+
 class TestDeepInput:
     # nested deeper than json.loads can read
     DEPTH = 5000
@@ -446,6 +460,7 @@ class TestBrokenPipe:
 KINDS = ("poset", "interval", "nct", "ncp")
 KEYS = ("size", "inc", "dec", "lower", "upper", "n", "edges", "blocks")
 small_ints = st.integers(-2, 9)
+huge_ints = st.integers(MAX_OBJECT_SIZE + 1, 10**12)
 json_values = st.recursive(
     st.none() | st.booleans() | small_ints | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4)
@@ -461,6 +476,8 @@ tree_objs = st.recursive(
 blocks = st.fixed_dictionaries(
     {"blocks": st.lists(st.lists(small_ints, max_size=4), max_size=4)}
 )
+# stands for a field nested deeper than json.loads can read
+DEEP = "<deep>"
 # documents of the right shape with random contents, per input kind
 SHAPED = {
     "poset": st.fixed_dictionaries({"size": small_ints, "inc": pairs, "dec": pairs}),
@@ -493,19 +510,21 @@ def valid_documents(kind):
 
 @st.composite
 def blobs(draw, kind):
-    """Input text for ``kind``: a valid document, one with a field replaced,
-    a shaped or an arbitrary JSON value, or text that is not JSON."""
+    """Input text for ``kind``: a valid document, one with a field replaced
+    (by an oversized size or a deeply nested array among others), a shaped
+    or an arbitrary JSON value, or text that is not JSON."""
     doc = dict(draw(st.sampled_from(valid_documents(kind))))
     choice = draw(st.integers(0, 4))
     if choice == 1:
         doc[draw(st.sampled_from(sorted(doc)))] = draw(
-            pairs | small_ints | tree_objs | json_values
+            pairs | small_ints | huge_ints | tree_objs | json_values
+            | st.just(DEEP)
         )
     elif choice == 2:
         doc = draw(SHAPED[kind])
     elif choice == 3:
         doc = draw(json_values)
-    text = json.dumps(doc)
+    text = json.dumps(doc).replace(json.dumps(DEEP), "[" * 5000 + "]" * 5000)
     if choice == 4:
         return draw(st.sampled_from([text[: len(text) // 2], text + "]"])
                     | st.text())

@@ -49,7 +49,7 @@ def cli_lines(argv):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_order_and_set_equal_the_validated_sort(n):
-    assert list(posets._enumerate(n)) == validated_and_sorted(n)
+    assert list(posets.universe(n).posets) == validated_and_sorted(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)])

@@ -10,6 +10,8 @@ from tamari.posets import (
     IntervalPoset,
     NotAPoset,
     RangeRelation,
+    _lower_tree,
+    _upper_tree,
     enumerate_interval_posets,
     from_interval,
     interval_members,
@@ -20,11 +22,14 @@ from tamari.posets import (
     poset_to_json,
     to_interval,
     tree_poset,
+    universe,
     validate,
 )
 from tamari.trees import (
     TamariInterval,
+    dec_masks,
     enumerate_trees,
+    inc_masks,
     left_comb,
     relation_masks,
     right_comb,
@@ -187,6 +192,41 @@ class TestEnumeration:
         second.append(None)
         assert len(enumerate_interval_posets(3)) == 13
         assert None not in enumerate_interval_posets(3)
+
+
+class TestUniverse:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_pairs_index_the_trees_of_each_poset(self, n):
+        u = universe(n)
+        assert u.trees == enumerate_trees(n)
+        assert len(u.lowers) == len(u.uppers) == len(u.posets) == interval_count_formula(n)
+        for p, lower, upper in zip(u.posets, u.lowers, u.uppers):
+            low, high = relation_masks(u.trees[lower]), relation_masks(u.trees[upper])
+            assert p.up == tuple(a | b for a, b in zip(dec_masks(low), inc_masks(high)))
+
+    def test_one_cache_per_size(self):
+        u = universe(4)
+        assert universe(4) is u
+        listed = enumerate_interval_posets(4)
+        assert all(a is b for a, b in zip(listed, u.posets))
+        assert len(listed) == len(u.posets)
+
+    def test_size_zero_rejected(self):
+        with pytest.raises(ValueError):
+            universe(0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_per_tree_round_trip_is_the_interval_round_trip(self, n):
+        # the round trip verify checks per tree, against the one it replaced
+        u = universe(n)
+        per_tree = all(
+            _lower_tree(dec) == t and _upper_tree(inc) == t
+            for t, dec, inc in zip(u.trees, u.tables.decs, u.tables.incs)
+        )
+        per_poset = all(from_interval(to_interval(p)) == p for p in u.posets)
+        assert per_tree and per_poset
+        for p, lower, upper in zip(u.posets, u.lowers, u.uppers):
+            assert to_interval(p) == TamariInterval(u.trees[lower], u.trees[upper])
 
 
 class TestIntervalMasks:

@@ -4,12 +4,22 @@ from oracles import graft, is_valid
 from tamari import classify, risefall
 from tamari.posets import (
     RangeRelation,
+    _pack,
     enumerate_interval_posets,
     make_poset,
     to_interval,
+    universe,
     validate,
 )
-from tamari.trees import Y
+from tamari.trees import (
+    Y,
+    BinaryTree,
+    dec_masks,
+    enumerate_trees,
+    inc_masks,
+    relation_masks,
+    tamari_leq,
+)
 
 
 def stat_classes(n):
@@ -180,3 +190,55 @@ class TestRemove:
                 assert len(image) == len(domain)
                 for p in domain:
                     assert risefall.remove_rho(risefall.insert_fik(p, i, k)) == p
+
+
+def chain_above(k, t):
+    """k (+) T: the chain 1..k, each vertex the right child of the one
+    before, above T relabelled by +k."""
+    for _ in range(k):
+        t = BinaryTree(None, t)
+    return t
+
+
+def chain_below(s, k):
+    """S (+)' k: vertices n+1..n+k above S as a left chain."""
+    for _ in range(k):
+        s = BinaryTree(s, None)
+    return s
+
+
+class TestAllRises:
+    """``all_rises_valid`` against the rise-by-rise validation it replaces
+    in ``verify``, and its two statements on trees."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)])
+    def test_equals_iterated_rise_valid(self, n):
+        u = universe(n)
+        for p, lower, upper in zip(u.posets, u.lowers, u.uppers):
+            assert risefall.all_rises_valid(n, lower, upper) == (
+                risefall.iterated_rise_valid(p)
+            )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_kth_rise_is_the_pair_of_chained_trees(self, n):
+        u = universe(n)
+        for p, lower, upper in zip(u.posets, u.lowers, u.uppers):
+            s, t = u.trees[lower], u.trees[upper]
+            for k in range(1, n + 2):
+                low = relation_masks(chain_below(s, k))
+                high = relation_masks(chain_above(k, t))
+                risen = risefall.rise_k(p, k)
+                assert risen.up == tuple(
+                    a | b for a, b in zip(dec_masks(low), inc_masks(high))
+                )
+                assert is_valid(risen) == tamari_leq(
+                    chain_below(s, k), chain_above(k, t)
+                )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_bounds_from_the_chained_trees(self, n):
+        for t, bound in zip(enumerate_trees(n), risefall._rise_bounds(n)):
+            want = -1
+            for k in range(1, n + 2):
+                want &= _pack(dec_masks(relation_masks(chain_above(k, t)))[:n])
+            assert bound == want

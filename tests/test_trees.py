@@ -9,6 +9,8 @@ from oracles import (
     graft,
     inc_relations,
     mirror,
+    recursive_tree_repr,
+    recursive_tree_to_text,
     span_or_relation_masks,
     transitive_closure,
     tree_from_text,
@@ -17,6 +19,7 @@ from oracles import (
 from tamari.trees import (
     Y,
     BinaryTree,
+    TamariInterval,
     enumerate_trees,
     left_comb,
     relation_masks,
@@ -312,6 +315,30 @@ class TestSerialization:
 
     def test_left_comb_text(self):
         assert tree_to_text(left_comb(2)) == "((L L) L)"
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_text_matches_the_recursive_version(self, n):
+        for t in enumerate_trees(n):
+            assert tree_to_text(t) == recursive_tree_to_text(t)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_repr_matches_the_recursive_dataclass_repr(self, n):
+        for t in enumerate_trees(n):
+            assert repr(t) == recursive_tree_repr(t)
+
+    def test_deep_combs(self):
+        # deeper than the interpreter's recursion limit
+        k = 3000
+        assert tree_to_text(left_comb(k)) == "(" * k + "L" + " L)" * k
+        assert tree_to_text(right_comb(k)) == "(L " * k + "L" + ")" * k
+        assert repr(left_comb(k)) == (
+            "BinaryTree(left=" * k + "None" + ", right=None)" * k
+        )
+        assert repr(right_comb(k)) == (
+            "BinaryTree(left=None, right=" * k + "None" + ")" * k
+        )
+        interval = repr(TamariInterval(left_comb(k), right_comb(k)))
+        assert interval.startswith("TamariInterval(lower=BinaryTree(left=")
 
     def test_bad_text(self):
         for bad in ["", "(L", "(L L) L", "x", "(L L L)"]:
