@@ -109,46 +109,27 @@ def leaf_spans(t: Tree) -> set[tuple[int, int]]:
     return {(lo, hi + 1) for (_, lo, hi) in subtree_spans(t)}
 
 
-def leaf_span_mask(t: Tree) -> int:
-    """:func:`leaf_spans` packed in one int: bit ``lo * (n + 2) + hi`` for
-    each leaf span [lo, hi] of a tree of size n.  Built from one binary
-    string, row ``lo`` by row, so a 3,000-deep comb takes no quadratic
-    shifting."""
-    spans = subtree_spans(t)
-    width = len(spans) + 2
-    rows = [0] * width
-    for (_, first, last) in spans:
-        rows[first] |= 1 << (last + 1)  # leaves first..last + 1
-    return int("".join(f"{row:0{width}b}" for row in reversed(rows)), 2)
-
-
-def _shares_no_inner_span(n: int, lower_spans: int, upper_spans: int) -> bool:
-    """No leaf span but the full one [1, n + 1] is in both masks."""
-    return not lower_spans & upper_spans & ~(1 << (n + 2 + n + 1))
-
-
 def is_new_interval(interval: TamariInterval) -> bool:
     """Grafting-decomposition search: the interval is new iff no pair of
     subtrees of lower and upper covers the same leaf interval other than
     the full one.  Independent of :func:`is_new_ip`."""
-    return _shares_no_inner_span(
-        interval.size,
-        leaf_span_mask(interval.lower),
-        leaf_span_mask(interval.upper),
-    )
+    n = interval.size
+    shared = leaf_spans(interval.lower) & leaf_spans(interval.upper)
+    shared.discard((1, n + 1))
+    return not shared
 
 
 @lru_cache(maxsize=None)
-def _leaf_span_masks(n: int) -> tuple[int, ...]:
-    return tuple(map(leaf_span_mask, enumerate_trees(n)))
+def _leaf_span_sets(n: int) -> tuple[frozenset[tuple[int, int]], ...]:
+    return tuple(frozenset(leaf_spans(t)) for t in enumerate_trees(n))
 
 
 def is_new_pair(n: int, lower: int, upper: int) -> bool:
     """:func:`is_new_interval` of the interval between the trees of
-    ``enumerate_trees(n)`` at indices ``lower`` and ``upper``, from masks
-    cached per tree."""
-    spans = _leaf_span_masks(n)
-    return _shares_no_inner_span(n, spans[lower], spans[upper])
+    ``enumerate_trees(n)`` at indices ``lower`` and ``upper``, from leaf
+    spans cached per tree."""
+    spans = _leaf_span_sets(n)
+    return spans[lower] & spans[upper] <= {(1, n + 1)}
 
 
 def nice_shape(interval: TamariInterval) -> tuple[Tree, Tree] | None:

@@ -33,12 +33,11 @@ from .posets import (
     IntervalPoset,
     InvalidIntervalPoset,
     from_interval,
+    poset_from_json,
     poset_to_json,
     poset_to_obj,
-    relation_from_obj,
     stream_interval_posets,
     to_interval,
-    validate,
 )
 from .trees import TamariInterval, tree_from_obj, tree_to_obj
 
@@ -51,11 +50,6 @@ POSET_FILTERS = {
     "new": classify.is_new_ip,
     "infmodern": classify.is_infinitely_modern,
 }
-
-
-# The largest size a single input poset may declare: its masks are built
-# before any other check, one per vertex.
-MAX_OBJECT_SIZE = 10_000
 
 
 class UsageError(Exception):
@@ -159,11 +153,7 @@ def _check_integers(text: str) -> None:
 def _parse_source(kind: str, text: str):
     try:
         if kind == "poset":
-            obj = json.loads(text)
-            if obj["size"] > MAX_OBJECT_SIZE:
-                raise UsageError(f"size {obj['size']} exceeds the limit "
-                                 f"{MAX_OBJECT_SIZE} for a single poset")
-            value = validate(relation_from_obj(obj))
+            value = poset_from_json(text)
             n = value.n
         elif kind == "interval":
             obj = json.loads(text)

@@ -6,15 +6,13 @@ The pair views and the closure are thin wrappers over the package
 still exercise it.  The others are independent implementations to check
 the package against: rotations for the Tamari order, grafting for the
 shape of a rise, the tree mirror for ``mirror_poset``, the span-OR loop for
-``relation_masks``, the recursive text and repr of a tree, the leaf-span
-set test for ``is_new_interval`` and the Bell-number scan for
-``enumerate_ncp``.  Several recurse, which is fine on the small trees the
-tests give them.
+``relation_masks``, the recursive text and repr of a tree and the
+Bell-number scan for ``enumerate_ncp``.  Several recurse, which is fine on
+the small trees the tests give them.
 """
 
 from __future__ import annotations
 
-from tamari.classify import leaf_spans
 from tamari.noncrossing import NoncrossingPartition, make_partition
 from tamari.posets import (
     InvalidIntervalPoset,
@@ -27,7 +25,6 @@ from tamari.posets import (
 )
 from tamari.trees import (
     BinaryTree,
-    TamariInterval,
     Tree,
     dec_masks,
     inc_masks,
@@ -172,14 +169,6 @@ def tree_from_text(text: str) -> Tree:
 
 
 # -- classifiers and partitions -------------------------------------------------
-
-
-def leaf_span_set_is_new(interval: TamariInterval) -> bool:
-    """:func:`tamari.classify.is_new_interval` as sets of leaf spans: no
-    span but the full one is shared by the two bounds."""
-    shared = leaf_spans(interval.lower) & leaf_spans(interval.upper)
-    shared.discard((1, interval.size + 1))
-    return not shared
 
 
 def avoids_long_crossing(p: IntervalPoset) -> bool:

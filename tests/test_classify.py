@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from oracles import avoids_long_crossing, leaf_span_set_is_new
+from oracles import avoids_long_crossing
 from tamari import classify
 from tamari.posets import (
     enumerate_interval_posets,
@@ -11,6 +11,7 @@ from tamari.posets import (
     universe,
 )
 from tamari.trees import (
+    BinaryTree,
     TamariInterval,
     Y,
     enumerate_trees,
@@ -164,30 +165,25 @@ class TestNewInterval:
         assert classify.leaf_spans(left_comb(n)) == {(1, k + 1) for k in range(1, n + 1)}
 
 
-class TestPackedLeafSpans:
-    """The packed leaf-span test against the set test it replaces."""
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
-    def test_mask_bits_are_the_spans(self, n):
-        for t in enumerate_trees(n):
-            mask = classify.leaf_span_mask(t)
-            bits = {i for i in range(mask.bit_length()) if mask >> i & 1}
-            assert bits == {lo * (n + 2) + hi for (lo, hi) in classify.leaf_spans(t)}
+class TestNewPair:
+    """The new test on leaf spans cached per tree against the same test on
+    the two trees of ``to_interval(p)``."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
-    def test_equals_the_set_test(self, n):
+    def test_equals_the_interval_test(self, n):
         u = universe(n)
         for p, lower, upper in zip(u.posets, u.lowers, u.uppers):
-            interval = to_interval(p)
-            by_sets = leaf_span_set_is_new(interval)
-            assert classify.is_new_interval(interval) == by_sets
-            assert classify.is_new_pair(n, lower, upper) == by_sets
+            assert classify.is_new_pair(n, lower, upper) == (
+                classify.is_new_interval(to_interval(p))
+            )
 
-    def test_deep_combs(self):
-        n = 3000
-        assert classify.leaf_span_mask(left_comb(n)) == sum(
-            1 << (n + 2 + k + 1) for k in range(1, n + 1)
-        )
+    def test_large_balanced_tree(self):
+        # 4,095 nodes: the spans of each tree are linear in its size
+        t = None
+        for _ in range(12):
+            t = BinaryTree(t, t)
+        assert len(classify.leaf_spans(t)) == 4095
+        assert not classify.is_new_interval(TamariInterval(t, t))
 
 
 def recursive_leaf_spans(t):

@@ -12,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 import tamari
 from tamari import verify
-from tamari.cli import BROKEN_PIPE, MAX_OBJECT_SIZE, main
+from tamari.cli import BROKEN_PIPE, main
 from tamari.noncrossing import enumerate_ncp, enumerate_nct, ncp_to_json, nct_to_json
 from tamari.posets import (
+    MAX_OBJECT_SIZE,
     enumerate_interval_posets,
     poset_from_json,
     poset_to_json,
