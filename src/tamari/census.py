@@ -4,12 +4,11 @@ closed formula, plus the triangle refining the Fuss-Catalan numbers."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from . import classify
-from .noncrossing import enumerate_ncp, enumerate_nct, ncp_leq
-from .posets import enumerate_interval_posets, universe
-from .trees import enumerate_trees
+from .noncrossing import enumerate_ncp, enumerate_nct
+from .posets import universe
 
 DEFAULT_BOUND = 6
 
@@ -91,35 +90,47 @@ class CensusRow:
 
 
 def census(n: int, bound: int = DEFAULT_BOUND) -> CensusRow:
-    """Exhaustive counts at size n, with every closed formula asserted."""
+    """Exhaustive counts at size n, each checked against its closed
+    formula; a mismatch raises :class:`AssertionError`.
+
+    The four families are counted in one pass over the universe's tree
+    pairs (:func:`classify.pair_families`).  The NC-partition intervals
+    are counted by upper partition: the partitions below pi are the
+    products of noncrossing partitions of its blocks, Catalan(|B|) for a
+    block B (Kreweras 1972).
+    """
     if n > bound:
         raise ValueError(f"size {n} exceeds the configured bound {bound}")
     u = universe(n)
-    posets = u.posets
+    exceptional = modern = new = infinitely_modern = 0
+    for lower, upper in zip(u.lowers, u.uppers):
+        flags = classify.pair_families(n, lower, upper)
+        exceptional += flags.exceptional
+        modern += flags.modern
+        new += flags.new
+        infinitely_modern += flags.infinitely_modern
     ncps = enumerate_ncp(n)
     row = CensusRow(
         n=n,
-        intervals=len(posets),
-        exceptional=sum(classify.is_exceptional(p) for p in posets),
-        modern=sum(classify.is_modern(p) for p in posets),
-        new=sum(
-            classify.is_new_pair(n, lower, upper)
-            for lower, upper in zip(u.lowers, u.uppers)
-        ),
-        infinitely_modern=sum(classify.is_infinitely_modern(p) for p in posets),
-        trees=len(enumerate_trees(n)),
+        intervals=len(u.lowers),
+        exceptional=exceptional,
+        modern=modern,
+        new=new,
+        infinitely_modern=infinitely_modern,
+        trees=len(u.trees),
         noncrossing_trees=len(enumerate_nct(n)),
         noncrossing_partitions=len(ncps),
         ncp_intervals=sum(
-            ncp_leq(p1, p2) for p1 in ncps for p2 in ncps
+            prod(catalan(len(block)) for block in pi.blocks) for pi in ncps
         ),
     )
     counts = row.counts()
     for family, expected in row.formula_checks().items():
-        assert counts[family] == expected, (
-            f"census mismatch at n={n}, family {family}: "
-            f"enumerated {counts[family]}, formula {expected}"
-        )
+        if counts[family] != expected:
+            raise AssertionError(
+                f"census mismatch at n={n}, family {family}: "
+                f"enumerated {counts[family]}, formula {expected}"
+            )
     return row
 
 
@@ -152,22 +163,27 @@ def triangle_recurrence(n: int) -> TriangleB:
 
 
 def triangle_by_statistic(n: int) -> TriangleB:
-    """The same triangle from the (ir, dr) statistic over enumeration."""
+    """The same triangle from the (ir, dr) statistic over enumeration: dr
+    of each lower tree and ir of each upper tree, read per tree."""
+    u = universe(n)
+    data = classify._tree_data(n)
     table: dict[tuple[int, int], int] = {}
-    for p in enumerate_interval_posets(n):
-        s = classify.stat(p)
-        if s.dr <= s.ir:
-            key = (s.dr - 1, n - s.ir)
+    for lower, upper in zip(u.lowers, u.uppers):
+        dr, ir = data.dr[lower], data.ir[upper]
+        if dr <= ir:
+            key = (dr - 1, n - ir)
             table[key] = table.get(key, 0) + 1
     return TriangleB(n, table)
 
 
 def triangle_b(n: int) -> TriangleB:
-    """Triangle computed both ways; the two must agree entrywise."""
+    """Triangle computed both ways; the two must agree entrywise, else
+    :class:`AssertionError` is raised."""
     rec = triangle_recurrence(n)
     direct = triangle_by_statistic(n)
-    assert rec.table == direct.table, (
-        f"triangle mismatch at n={n}: recurrence {rec.table} vs "
-        f"statistic {direct.table}"
-    )
+    if rec.table != direct.table:
+        raise AssertionError(
+            f"triangle mismatch at n={n}: recurrence {rec.table} vs "
+            f"statistic {direct.table}"
+        )
     return rec

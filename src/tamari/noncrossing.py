@@ -81,6 +81,8 @@ def enumerate_nct(n: int) -> list[NoncrossingTree]:
       tree on m..hi.
 
     Each tree arises exactly once.  Both tables live only for this call.
+    The trees are built with no constructor check: each is a noncrossing
+    spanning tree by construction.
     """
     if n < 1:
         raise ValueError("size must be at least 1")
@@ -105,7 +107,15 @@ def enumerate_nct(n: int) -> list[NoncrossingTree]:
             ]
     # sorted edge tuples compare as NoncrossingTree.sort_key does
     ordered = sorted(tuple(sorted(edges)) for edges in every[0, n])
-    return [NoncrossingTree(n, frozenset(edges)) for edges in ordered]
+    return [_trusted_nct(n, frozenset(edges)) for edges in ordered]
+
+
+def _trusted_nct(n: int, edges: frozenset[Chord]) -> NoncrossingTree:
+    """A :class:`NoncrossingTree` on edges known to form one, with no check."""
+    t = object.__new__(NoncrossingTree)
+    object.__setattr__(t, "n", n)
+    object.__setattr__(t, "edges", edges)
+    return t
 
 
 def edge_labels(t: NoncrossingTree) -> dict[Chord, int]:

@@ -6,14 +6,20 @@ The pair views and the closure are thin wrappers over the package
 still exercise it.  The others are independent implementations to check
 the package against: rotations for the Tamari order, grafting for the
 shape of a rise, the tree mirror for ``mirror_poset``, the span-OR loop for
-``relation_masks``, the recursive text and repr of a tree and the
-Bell-number scan for ``enumerate_ncp``.  Several recurse, which is fine on
-the small trees the tests give them.
+``relation_masks``, the recursive text and repr of a tree, the
+Bell-number scan for ``enumerate_ncp`` and the ``ncp_leq`` pair scan for
+the census's NC-partition interval count.  Several recurse, which is fine
+on the small trees the tests give them.
 """
 
 from __future__ import annotations
 
-from tamari.noncrossing import NoncrossingPartition, make_partition
+from tamari.noncrossing import (
+    NoncrossingPartition,
+    enumerate_ncp,
+    make_partition,
+    ncp_leq,
+)
 from tamari.posets import (
     InvalidIntervalPoset,
     IntervalPoset,
@@ -206,3 +212,11 @@ def bell_scan_ncp(n: int) -> list[NoncrossingPartition]:
             continue
     out.sort(key=lambda p: p.blocks)
     return out
+
+
+def ncp_interval_scan(n: int) -> int:
+    """The number of NC-partition intervals of size n, as ``ncp_leq`` on
+    every ordered pair of partitions: the scan that the Kreweras product
+    in :func:`tamari.census.census` replaced."""
+    ncps = enumerate_ncp(n)
+    return sum(ncp_leq(p1, p2) for p1 in ncps for p2 in ncps)

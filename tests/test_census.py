@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from oracles import ncp_interval_scan
 from tamari.census import (
     catalan,
     census,
@@ -79,6 +85,10 @@ class TestCensus:
         row = census(2)
         assert set(row.formula_checks()) == set(row.counts())
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_kreweras_count_equals_the_pair_scan(self, n):
+        assert census(n, bound=7).ncp_intervals == ncp_interval_scan(n)
+
     def test_size_one_skips_the_new_formula(self):
         row = census(1)
         assert row.new == 1
@@ -123,3 +133,46 @@ class TestTriangle:
                     )
             prev = {kl: v for kl, v in table.items() if v}
         assert prev != triangle_by_statistic(3).table
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_optimized(setup: str, argv: list[str]) -> subprocess.CompletedProcess:
+    """``tamari`` under ``python -O`` (asserts stripped), after ``setup``."""
+    code = f"import sys\n{setup}\nfrom tamari.cli import main\nsys.exit(main({argv!r}))"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+
+
+class TestFailuresSurviveOptimization:
+    """A count that disagrees with its formula fails the command even when
+    ``-O`` strips ``assert`` statements."""
+
+    def test_census_mismatch_exits_one(self):
+        setup = (
+            "from tamari import census\n"
+            "exact = census.fuss_catalan\n"
+            "census.fuss_catalan = lambda n: exact(n) + (n == 3)"
+        )
+        proc = run_optimized(setup, ["census", "--max-size", "3"])
+        assert proc.returncode == 1
+        assert "census mismatch at n=3" in proc.stderr
+
+    def test_triangle_mismatch_fails_verify(self):
+        setup = (
+            "from tamari import census\n"
+            "exact = census.triangle_recurrence\n"
+            "def moved(n):\n"
+            "    tri = exact(n)\n"
+            "    if n == 3:\n"
+            "        tri.table[(0, 0)] -= 1\n"
+            "        tri.table[(1, 1)] += 1\n"
+            "    return tri\n"
+            "census.triangle_recurrence = moved"
+        )
+        proc = run_optimized(setup, ["verify", "--max-size", "3"])
+        assert proc.returncode == 1
+        assert "FAIL counting triangle: triangle mismatch at n=3" in proc.stdout

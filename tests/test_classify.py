@@ -186,6 +186,32 @@ class TestNewPair:
         assert not classify.is_new_interval(TamariInterval(t, t))
 
 
+class TestPairFamilies:
+    """Each tree-pair test against its poset classifier, on every interval."""
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)]
+    )
+    def test_flags_equal_the_poset_classifiers(self, n):
+        u = universe(n)
+        for p, lower, upper in zip(u.posets, u.lowers, u.uppers):
+            assert classify.pair_families(n, lower, upper) == (
+                classify.is_exceptional(p),
+                classify.is_modern(p),
+                classify.is_new_ip(p),
+                classify.is_infinitely_modern(p),
+            ), sorted(p.relations)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_per_tree_statistic_equals_stat(self, n):
+        u = universe(n)
+        data = classify._tree_data(n)
+        for p, lower, upper in zip(u.posets, u.lowers, u.uppers):
+            assert classify.stat(p) == classify.StatPair(
+                ir=data.ir[upper], dr=data.dr[lower]
+            )
+
+
 def recursive_leaf_spans(t):
     """The recursive leaf-span walk that ``leaf_spans`` replaced."""
     spans = set()

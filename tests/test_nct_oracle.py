@@ -6,6 +6,9 @@ chords of the based (n+1)-gon for crossings and for being a spanning tree,
 with its own copies of both checks.  Its cost grows with C(C(n+1, 2), n),
 so the list comparison at n = 7 (about 6 s) is marked ``slow`` and left
 out of the default run; ``pytest -m slow`` runs it.
+
+The generator builds its trees with no constructor check, so the last
+test passes each generated tree through the checking constructor.
 """
 
 from __future__ import annotations
@@ -63,3 +66,14 @@ def oracle_enumerate_nct(n):
 ])
 def test_same_list_as_the_scan(n):
     assert enumerate_nct(n) == oracle_enumerate_nct(n)
+
+
+@pytest.mark.parametrize("n", [
+    1, 2, 3, 4, 5, 6, 7,
+    pytest.param(8, marks=pytest.mark.slow),
+])
+def test_generated_trees_pass_the_constructor_checks(n):
+    # the generator builds its trees unchecked; the checking constructor
+    # must accept each one and build an equal tree
+    for t in enumerate_nct(n):
+        assert NoncrossingTree(t.n, t.edges) == t
