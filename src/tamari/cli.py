@@ -36,6 +36,7 @@ from .posets import (
     poset_from_json,
     poset_to_json,
     poset_to_obj,
+    stream_interval_json,
     stream_interval_posets,
     to_interval,
 )
@@ -91,6 +92,10 @@ def cmd_enumerate(args, out) -> int:
         for p in enumerate_ncp(args.size):
             print(ncp_to_json(p), file=out)
             count += 1
+    elif args.family == "all":
+        for lines, text in stream_interval_json(args.size):
+            out.write(text)
+            count += lines
     else:
         keep = POSET_FILTERS[args.family]
         for p, line in stream_interval_posets(args.size):

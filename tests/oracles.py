@@ -7,9 +7,10 @@ still exercise it.  The others are independent implementations to check
 the package against: rotations for the Tamari order, grafting for the
 shape of a rise, the tree mirror for ``mirror_poset``, the span-OR loop for
 ``relation_masks``, the recursive text and repr of a tree, the
-Bell-number scan for ``enumerate_ncp`` and the ``ncp_leq`` pair scan for
-the census's NC-partition interval count.  Several recurse, which is fine
-on the small trees the tests give them.
+Bell-number scan for ``enumerate_ncp``, the ``ncp_leq`` pair scan for
+the census's NC-partition interval count, and the packed tree-pair scan
+for the bracket-vector generator of ``posets._interval_pairs``.  Several
+recurse, which is fine on the small trees the tests give them.
 """
 
 from __future__ import annotations
@@ -172,6 +173,20 @@ def tree_from_text(text: str) -> Tree:
     if pos != len(tokens):
         raise ValueError("trailing tokens in tree expression")
     return t
+
+
+def interval_pair_scan(tables) -> list[tuple[int, int]]:
+    """(lower, upper) tree indices of every Tamari interval, in the order
+    of ``posets._interval_pairs``, as Dec inclusion on packed masks over
+    every ordered pair of trees: the scan that the bracket-vector
+    generator replaced."""
+    lowers = [(i, tables.packed[i]) for i in tables.by_dec]
+    return [
+        (lower, upper)
+        for upper in tables.by_inc
+        for lower, low in lowers
+        if not low & ~tables.packed[upper]
+    ]
 
 
 # -- classifiers and partitions -------------------------------------------------

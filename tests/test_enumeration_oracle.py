@@ -103,25 +103,41 @@ def test_classify_output_hash_at_seven():
 
 
 def test_first_record_is_written_before_the_second_poset_is_built(monkeypatch):
-    built = []
-    trusted = posets._interval_poset
+    # --family all joins its lines from the tree fragments and builds no
+    # poset, so it writes the lines of the first upper tree before the
+    # generator yields the second; a filter reads each poset, so it writes
+    # the first kept line before it builds the next poset
+    built, uppers = [], []
+    trusted, generated = posets._interval_poset, posets._interval_pairs
 
-    def counting(*args):
+    def counting_posets(*args):
         built.append(None)
         return trusted(*args)
+
+    def counting_uppers(tables):
+        for item in generated(tables):
+            uppers.append(None)
+            yield item
 
     class FirstLine:
         seen = None
 
         def write(self, text):
             if self.seen is None and "\n" in text:
-                self.seen = len(built)
+                self.seen = (len(uppers), len(built))
 
         def flush(self):
             pass
 
-    monkeypatch.setattr(posets, "_interval_poset", counting)
+    monkeypatch.setattr(posets, "_interval_poset", counting_posets)
+    monkeypatch.setattr(posets, "_interval_pairs", counting_uppers)
     sink = FirstLine()
     assert main(["enumerate", "--size", "6"], sink) == 0
-    assert sink.seen == 1
+    assert sink.seen == (1, 0)
+    assert len(uppers) == 132 and not built
+
+    uppers.clear()
+    sink = FirstLine()
+    assert main(["enumerate", "--size", "6", "--family", "modern"], sink) == 0
+    assert sink.seen == (1, 1)
     assert len(built) == 2530

@@ -4,7 +4,15 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import dec_relations, inc_relations, is_valid, mirror, transitive_closure
+from oracles import (
+    dec_relations,
+    inc_relations,
+    interval_pair_scan,
+    is_valid,
+    mirror,
+    transitive_closure,
+)
+from tamari import census, posets
 from tamari.posets import (
     IntervalConditionViolated,
     IntervalPoset,
@@ -33,6 +41,7 @@ from tamari.trees import (
     left_comb,
     relation_masks,
     right_comb,
+    subtree_spans,
     tamari_leq,
 )
 
@@ -227,6 +236,53 @@ class TestUniverse:
         assert per_tree and per_poset
         for p, lower, upper in zip(u.posets, u.lowers, u.uppers):
             assert to_interval(p) == TamariInterval(u.trees[lower], u.trees[upper])
+
+
+class TestIntervalPairs:
+    """The bracket-vector generator against the packed pair scan it replaced."""
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 4, 5, 6, 7, 8, pytest.param(9, marks=pytest.mark.slow)]
+    )
+    def test_pairs_equal_the_scan(self, n):
+        tables = posets._tree_tables(n)
+        generated = [
+            (lower, upper)
+            for upper, lowers in posets._interval_pairs(tables)
+            for lower in lowers
+        ]
+        assert generated == interval_pair_scan(tables)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_brackets_are_the_right_subtree_sizes(self, n):
+        for t, r in zip(enumerate_trees(n), posets._tree_tables(n).brackets):
+            assert r == tuple(hi - v for v, _, hi in sorted(subtree_spans(t)))
+
+
+class TestLazyUniverse:
+    def test_census_builds_no_poset(self, monkeypatch):
+        built = []
+        trusted = posets._interval_poset
+
+        def counting(*args):
+            built.append(None)
+            return trusted(*args)
+
+        monkeypatch.setattr(posets, "_interval_poset", counting)
+        universe.cache_clear()
+        census.census(6)
+        assert not built
+        assert "posets" not in vars(universe(6))
+        assert len(universe(6).posets) == len(built) == 2530
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_posets_equal_the_eager_build(self, n):
+        trees = enumerate_trees(n)
+        eager = tuple(
+            validate(RangeRelation(n, dec_relations(trees[low]) | inc_relations(trees[up])))
+            for low, up in interval_pair_scan(posets._tree_tables(n))
+        )
+        assert universe(n).posets == eager
 
 
 class TestIntervalMasks:
