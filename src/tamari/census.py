@@ -7,8 +7,7 @@ from dataclasses import dataclass
 from math import comb, factorial, prod
 
 from . import classify
-from .noncrossing import enumerate_ncp, enumerate_nct
-from .posets import universe
+from .noncrossing import count_nct, enumerate_ncp
 
 DEFAULT_BOUND = 6
 
@@ -93,32 +92,35 @@ def census(n: int, bound: int = DEFAULT_BOUND) -> CensusRow:
     """Exhaustive counts at size n, each checked against its closed
     formula; a mismatch raises :class:`AssertionError`.
 
-    The four families are counted in one pass over the universe's tree
-    pairs (:func:`classify.pair_families`).  The NC-partition intervals
-    are counted by upper partition: the partitions below pi are the
-    products of noncrossing partitions of its blocks, Catalan(|B|) for a
-    block B (Kreweras 1972).
+    The intervals and the four families are counted per upper tree, as the
+    popcounts of its :func:`classify.family_bits`: one bit per lower tree,
+    so every interval is still decided on its own.  The noncrossing trees
+    are counted by the recursion that generates them
+    (:func:`noncrossing.count_nct`), and the NC-partition intervals by
+    upper partition: the partitions below pi are the products of
+    noncrossing partitions of its blocks, Catalan(|B|) for a block B
+    (Kreweras 1972).
     """
     if n > bound:
         raise ValueError(f"size {n} exceeds the configured bound {bound}")
-    u = universe(n)
-    exceptional = modern = new = infinitely_modern = 0
-    for lower, upper in zip(u.lowers, u.uppers):
-        flags = classify.pair_families(n, lower, upper)
-        exceptional += flags.exceptional
-        modern += flags.modern
-        new += flags.new
-        infinitely_modern += flags.infinitely_modern
+    intervals = exceptional = modern = new = infinitely_modern = trees = 0
+    for bits in classify.family_bits(n):
+        trees += 1
+        intervals += bits.lowers.bit_count()
+        exceptional += bits.exceptional.bit_count()
+        modern += bits.modern.bit_count()
+        new += bits.new.bit_count()
+        infinitely_modern += bits.infinitely_modern.bit_count()
     ncps = enumerate_ncp(n)
     row = CensusRow(
         n=n,
-        intervals=len(u.lowers),
+        intervals=intervals,
         exceptional=exceptional,
         modern=modern,
         new=new,
         infinitely_modern=infinitely_modern,
-        trees=len(u.trees),
-        noncrossing_trees=len(enumerate_nct(n)),
+        trees=trees,
+        noncrossing_trees=count_nct(n),
         noncrossing_partitions=len(ncps),
         ncp_intervals=sum(
             prod(catalan(len(block)) for block in pi.blocks) for pi in ncps
@@ -163,16 +165,20 @@ def triangle_recurrence(n: int) -> TriangleB:
 
 
 def triangle_by_statistic(n: int) -> TriangleB:
-    """The same triangle from the (ir, dr) statistic over enumeration: dr
-    of each lower tree and ir of each upper tree, read per tree."""
-    u = universe(n)
+    """The same triangle from the (ir, dr) statistic over enumeration: per
+    upper tree T, the infinitely modern lowers with dr = d are the lowers
+    of T in ``DR=[d]``, the trees with dr = d, for d <= ir(T)."""
     data = classify._tree_data(n)
+    at_most = classify._at_most(data.dr, n)
+    exactly = [0] + [at_most[d] & ~at_most[d - 1] for d in range(1, n + 1)]
     table: dict[tuple[int, int], int] = {}
-    for lower, upper in zip(u.lowers, u.uppers):
-        dr, ir = data.dr[lower], data.ir[upper]
-        if dr <= ir:
-            key = (dr - 1, n - ir)
-            table[key] = table.get(key, 0) + 1
+    for bits in classify.family_bits(n):
+        ir = data.ir[bits.upper]
+        for d in range(1, ir + 1):
+            count = (bits.lowers & exactly[d]).bit_count()
+            if count:
+                key = (d - 1, n - ir)
+                table[key] = table.get(key, 0) + count
     return TriangleB(n, table)
 
 

@@ -14,14 +14,17 @@ Four families are detected here:
 
 Each classifier reads one poset.  :func:`pair_families` decides all four
 for the interval [S, T] from data cached per tree of its size; the
-classifiers are its oracles.
+classifiers are its oracles.  :func:`family_bits` decides them for every
+lower tree of an upper tree at once, with :func:`pair_families` as its
+oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple
+from functools import lru_cache, reduce
+from operator import and_, getitem, or_
+from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .posets import IntervalPoset, Pair, _tree_tables
 from .trees import (
@@ -132,8 +135,8 @@ class _TreeData(NamedTuple):
     right_kids: tuple[int, ...]  # bit v - 1: vertex v has a right child
     ir: tuple[int, ...]  # stat's ir, read from the Inc masks
     dr: tuple[int, ...]  # stat's dr, read from the Dec masks
-    exc_lower: tuple[int, ...]  # exceptional witness bits, as S
-    exc_upper: tuple[int, ...]  # exceptional witness bits, as T
+    exc_lower: tuple[tuple[tuple[int, int], ...], ...]  # per y: (b, last_S(b)), as S
+    exc_upper: tuple[tuple[tuple[int, int], ...], ...]  # per y: (first_T(a), a), as T
     spans: tuple[frozenset[tuple[int, int]], ...]  # leaf_spans, frozen
 
 
@@ -141,36 +144,31 @@ class _TreeData(NamedTuple):
 def _tree_data(n: int) -> _TreeData:
     """The :class:`_TreeData` of size ``n``, built once per process.
 
-    Exceptional bits are indexed by a triple (y, b, l) of labels, bit
-    ((y - 1) n + b - 1) n + l - 1.  For each y, a is its nearest ancestor
-    in T that has y in its left subtree and b its nearest ancestor in S
-    that has y in its right subtree.  S sets (y, b, last_S(b)); T sets
-    every (y, b', l') with b' < first_T(a) and l' < a.
+    For each label y, a is its nearest ancestor in T that has y in its
+    left subtree and b its nearest ancestor in S that has y in its right
+    subtree.  As a lower tree S keeps (b, last_S(b)) for each y, or
+    (n + 1, n + 1) when y has no such b; as an upper tree T keeps
+    (first_T(a), a), or (0, 0) when y has no such a.
     """
     tables = _tree_tables(n)
     rows = []
     for t, dec, inc in zip(enumerate_trees(n), tables.decs, tables.incs):
         first, last = [0] * (n + 1), [0] * (n + 1)
         left = right = 0
-        for v, lo, hi in subtree_spans(t):
+        walk = subtree_spans(t)
+        for v, lo, hi in walk:
             first[v], last[v] = lo, hi
             left |= (lo < v) << (v - 1)
             right |= (hi > v) << (v - 1)
         ir = next((k for k in range(1, n) if inc[k - 1] >> k & 1), n)
         dr = next((i for i in range(n, 1, -1) if dec[i - 1] >> (i - 2) & 1), 1)
-        exc_lower = exc_upper = 0
-        for y in range(1, n + 1):
-            base = (y - 1) * n * n
-            below, above = dec[y - 1], inc[y - 1]
-            if below:
-                b = below.bit_length()  # the largest j < y with y <| j
-                exc_lower |= 1 << (base + (b - 1) * n + last[b] - 1)
-            if above:
-                a = (above & -above).bit_length()  # the smallest j > y with y <| j
-                below_a = (1 << (a - 1)) - 1
-                for b in range(1, first[a]):
-                    exc_upper |= below_a << (base + (b - 1) * n)
-        spans = frozenset(leaf_spans(t))
+        # b: the largest j < y with y <| j, and a: the smallest j > y with
+        # y <| j, or 0 if there is none
+        exc_lower = tuple(
+            (b, last[b]) if b else (n + 1, n + 1) for b in map(int.bit_length, dec)
+        )
+        exc_upper = tuple((first[a], a) for a in [(m & -m).bit_length() for m in inc])
+        spans = frozenset([(lo, hi + 1) for _, lo, hi in walk])  # leaf_spans(t)
         rows.append((left, right, ir, dr, exc_lower, exc_upper, spans))
     return _TreeData(*map(tuple, zip(*rows)))
 
@@ -199,11 +197,100 @@ def pair_families(n: int, lower: int, upper: int) -> Families:
     """
     data = _tree_data(n)
     return Families(
-        exceptional=not data.exc_upper[upper] & data.exc_lower[lower],
+        exceptional=not any(
+            b < f and last < a
+            for (b, last), (f, a) in zip(data.exc_lower[lower], data.exc_upper[upper])
+        ),
         modern=not data.left_kids[upper] & data.right_kids[lower],
         new=data.spans[lower] & data.spans[upper] <= {(1, n + 1)},
         infinitely_modern=data.dr[lower] <= data.ir[upper],
     )
+
+
+def _at_most(values: Sequence[int], top: int) -> list[int]:
+    """``bits[v]`` for v = 0..top: bit s set iff ``values[s] <= v``.  The
+    values must be bytes, 0..255."""
+    digits = bytes(reversed(values))  # bit s is the s-th digit from the right
+    return [
+        int(digits.translate(b"1" * (v + 1) + b"0" * (255 - v)), 2)
+        for v in range(top + 1)
+    ]
+
+
+def _holding(rows: Iterable[Iterable[Hashable]]) -> dict:
+    """For each key, the bitset of the rows that hold it: bit s for row s."""
+    members: dict = {}
+    for s, keys in enumerate(rows):
+        for key in keys:
+            members.setdefault(key, []).append(s)
+    count = s + 1
+    bits = {}
+    for key, held in members.items():
+        digits = bytearray(b"0") * count
+        for s in held:
+            digits[-1 - s] = 49  # ord("1")
+        bits[key] = int(digits, 2)
+    return bits
+
+
+class FamilyBits(NamedTuple):
+    """The lower trees of one upper tree, all and per family, as bitsets
+    over ``enumerate_trees(n)``: bit s stands for the s-th tree."""
+
+    upper: int
+    lowers: int
+    exceptional: int
+    modern: int
+    new: int
+    infinitely_modern: int
+
+
+def family_bits(n: int) -> Iterator[FamilyBits]:
+    """The :class:`FamilyBits` of every tree of size ``n``, in the order of
+    ``enumerate_trees(n)``.  Each lower S of T stays its own bit, so every
+    count is still exact, and each family is the per-pair test of
+    :func:`pair_families`, read for all lowers at once:
+
+    - S <= T iff r_i(S) <= r_i(T) for every i (Huang-Tamari 1972), so
+      the lowers are the AND over i of ``at_most[i][r_i(T)]``;
+    - S has a right child at v iff r_v(S) > 0, so the modern lowers keep
+      ``at_most[v][0]`` for every v with a left child in T;
+    - the new lowers miss ``spans[span]`` for each of T's leaf spans but
+      the full one;
+    - the exceptional lowers miss, for each y, ``witness[y][f, a]``, the
+      trees with b_y < f and l_y < a, at T's (f, a) = (first_T(a), a);
+    - the infinitely modern lowers have dr(S) <= ir(T).
+
+    The bitsets are built here and not kept: each caller reads one size
+    once.
+    """
+    tables, data = _tree_tables(n), _tree_data(n)
+    at_most = [_at_most(column, n - 1 - i) for i, column in enumerate(zip(*tables.brackets))]
+    dr_at_most = _at_most(data.dr, n)
+    spans = _holding(data.spans)
+    full = (1, n + 1)
+    witness = []
+    for y, pairs in enumerate(zip(*data.exc_lower), 1):
+        b_at_most = _at_most([b for b, _ in pairs], n)
+        last_at_most = _at_most([last for _, last in pairs], n)
+        # an upper tree's (f, a) has f <= y < a, or is (0, 0)
+        cell = {(f, a): b_at_most[f - 1] & last_at_most[a - 1]
+                for f in range(1, y + 1) for a in range(y + 1, n + 1)}
+        cell[0, 0] = 0
+        witness.append(cell)
+    for upper, (r, left) in enumerate(zip(tables.brackets, data.left_kids)):
+        lowers = reduce(and_, map(getitem, at_most, r))
+        modern = reduce(and_, (at_most[v][0] for v in range(n) if left >> v & 1), lowers)
+        shared = reduce(or_, (spans[s] for s in data.spans[upper] if s != full), 0)
+        crossed = reduce(or_, map(getitem, witness, data.exc_upper[upper]))
+        yield FamilyBits(
+            upper=upper,
+            lowers=lowers,
+            exceptional=lowers & ~crossed,
+            modern=modern,
+            new=lowers & ~shared,
+            infinitely_modern=lowers & dr_at_most[data.ir[upper]],
+        )
 
 
 def is_new_pair(n: int, lower: int, upper: int) -> bool:

@@ -14,9 +14,11 @@ import json
 import os
 import re
 import sys
+from functools import lru_cache
 
 from . import census, classify, verify
 from .noncrossing import (
+    NoncrossingPartition,
     enumerate_ncp,
     enumerate_nct,
     make_partition,
@@ -33,12 +35,13 @@ from .posets import (
     IntervalPoset,
     InvalidIntervalPoset,
     from_interval,
-    poset_from_json,
     poset_to_json,
     poset_to_obj,
+    relation_from_obj,
     stream_interval_json,
     stream_interval_posets,
     to_interval,
+    validate,
 )
 from .trees import TamariInterval, tree_from_obj, tree_to_obj
 
@@ -155,11 +158,24 @@ def _check_integers(text: str) -> None:
                          "not true, false or fractions")
 
 
+def _ncp_size(doc: dict, pi: NoncrossingPartition) -> int:
+    """The size an ncp document declares in its optional ``n``, which must
+    be the size of its blocks."""
+    n = doc.get("n", pi.n)
+    _check_size(n)
+    if n != pi.n:
+        raise ValueError(f"n is {n} but the blocks partition 1..{pi.n}")
+    return n
+
+
 def _parse_source(kind: str, text: str):
+    """The object that ``text`` encodes; a size below 1 is reported as the
+    input declares it."""
     try:
         if kind == "poset":
-            value = poset_from_json(text)
-            n = value.n
+            obj = json.loads(text)
+            value = validate(relation_from_obj(obj))
+            n = obj["size"]
         elif kind == "interval":
             obj = json.loads(text)
             try:
@@ -179,10 +195,11 @@ def _parse_source(kind: str, text: str):
                     make_partition(obj["lower"]["blocks"]),
                     make_partition(obj["upper"]["blocks"]),
                 )
-                n = value[0].n
+                n = _ncp_size(obj["lower"], value[0])
+                _ncp_size(obj["upper"], value[1])
             else:
                 value = make_partition(obj["blocks"])
-                n = value.n
+                n = _ncp_size(obj, value)
         else:
             raise UsageError(f"unknown source kind {kind}")
     except UsageError:
@@ -322,7 +339,9 @@ def cmd_export(args, out) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process."""
     parser = argparse.ArgumentParser(
         prog="tamari",
         description="Tamari intervals, interval-posets and noncrossing objects",

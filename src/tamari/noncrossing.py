@@ -110,6 +110,24 @@ def enumerate_nct(n: int) -> list[NoncrossingTree]:
     return [_trusted_nct(n, frozenset(edges)) for edges in ordered]
 
 
+def count_nct(n: int) -> int:
+    """The number of noncrossing trees in the based (n+1)-gon, by the
+    recursion of :func:`enumerate_nct` on the number s of polygon sides
+    that a vertex range spans, with no tree built:
+
+    - with_edge(s) = sum over k of every(k) every(s - 1 - k);
+    - every(s) = with_edge(s) + sum over 0 < m < s of
+      with_edge(m) every(s - m).
+    """
+    if n < 1:
+        raise ValueError("size must be at least 1")
+    every, with_edge = [1], [0]
+    for s in range(1, n + 1):
+        with_edge.append(sum(every[k] * every[s - 1 - k] for k in range(s)))
+        every.append(with_edge[s] + sum(with_edge[m] * every[s - m] for m in range(1, s)))
+    return every[n]
+
+
 def _trusted_nct(n: int, edges: frozenset[Chord]) -> NoncrossingTree:
     """A :class:`NoncrossingTree` on edges known to form one, with no check."""
     t = object.__new__(NoncrossingTree)

@@ -8,13 +8,16 @@ the package against: rotations for the Tamari order, grafting for the
 shape of a rise, the tree mirror for ``mirror_poset``, the span-OR loop for
 ``relation_masks``, the recursive text and repr of a tree, the
 Bell-number scan for ``enumerate_ncp``, the ``ncp_leq`` pair scan for
-the census's NC-partition interval count, and the packed tree-pair scan
-for the bracket-vector generator of ``posets._interval_pairs``.  Several
+the census's NC-partition interval count, the packed tree-pair scan
+for the bracket-vector generator of ``posets._interval_pairs``, and the
+per-pair (ir, dr) loop for the triangle's bitsets.  Several
 recurse, which is fine on the small trees the tests give them.
 """
 
 from __future__ import annotations
 
+from tamari import classify
+from tamari.census import TriangleB
 from tamari.noncrossing import (
     NoncrossingPartition,
     enumerate_ncp,
@@ -28,6 +31,7 @@ from tamari.posets import (
     RangeRelation,
     _close,
     _masks,
+    universe,
     validate,
 )
 from tamari.trees import (
@@ -235,3 +239,18 @@ def ncp_interval_scan(n: int) -> int:
     in :func:`tamari.census.census` replaced."""
     ncps = enumerate_ncp(n)
     return sum(ncp_leq(p1, p2) for p1 in ncps for p2 in ncps)
+
+
+def triangle_pair_scan(n: int) -> TriangleB:
+    """:func:`tamari.census.triangle_by_statistic` as one pass over the
+    universe's tree pairs, dr of each lower tree and ir of each upper tree:
+    the loop that the per-upper bitsets replaced."""
+    u = universe(n)
+    data = classify._tree_data(n)
+    table: dict[tuple[int, int], int] = {}
+    for lower, upper in zip(u.lowers, u.uppers):
+        dr, ir = data.dr[lower], data.ir[upper]
+        if dr <= ir:
+            key = (dr - 1, n - ir)
+            table[key] = table.get(key, 0) + 1
+    return TriangleB(n, table)

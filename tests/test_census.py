@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from oracles import ncp_interval_scan
+from oracles import ncp_interval_scan, triangle_pair_scan
+from tamari import noncrossing
 from tamari.census import (
     catalan,
     census,
@@ -16,6 +17,7 @@ from tamari.census import (
     triangle_by_statistic,
     triangle_recurrence,
 )
+from tamari.posets import universe
 
 
 class TestFormulas:
@@ -89,6 +91,19 @@ class TestCensus:
     def test_kreweras_count_equals_the_pair_scan(self, n):
         assert census(n, bound=7).ncp_intervals == ncp_interval_scan(n)
 
+    def test_reads_no_universe_and_builds_no_noncrossing_tree(self, monkeypatch):
+        built = []
+
+        def counting(*args):
+            built.append(None)
+
+        monkeypatch.setattr(noncrossing, "_trusted_nct", counting)
+        monkeypatch.setattr(noncrossing.NoncrossingTree, "__post_init__", counting)
+        universe.cache_clear()
+        census(6)
+        assert universe.cache_info().currsize == 0
+        assert not built
+
     def test_size_one_skips_the_new_formula(self):
         row = census(1)
         assert row.new == 1
@@ -118,6 +133,10 @@ class TestTriangle:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_recurrence_matches_statistic(self, n):
         assert triangle_b(n).table == triangle_by_statistic(n).table
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_bitsets_equal_the_pair_scan(self, n):
+        assert triangle_by_statistic(n).table == triangle_pair_scan(n).table
 
     def test_wrong_inner_bound_fails_at_three(self):
         # summing j up to k instead of l does not reproduce the statistic

@@ -212,6 +212,27 @@ class TestPairFamilies:
             )
 
 
+class TestFamilyBits:
+    """Per upper tree, the lower and family bitsets against the universe's
+    pairs and :func:`classify.pair_families`, bit by bit."""
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 4, 5, 6, 7, 8, pytest.param(9, marks=pytest.mark.slow)]
+    )
+    def test_bits_equal_the_pair_tests(self, n):
+        u = universe(n)
+        want: dict[int, list[int]] = {}
+        for lower, upper in zip(u.lowers, u.uppers):
+            row = want.setdefault(upper, [0] * 5)
+            for k, held in enumerate((True, *classify.pair_families(n, lower, upper))):
+                row[k] |= held << lower
+        got = {bits.upper: list(bits[1:]) for bits in classify.family_bits(n)}
+        assert got == want
+
+    def test_uppers_in_tree_order(self):
+        assert [bits.upper for bits in classify.family_bits(5)] == list(range(42))
+
+
 def recursive_leaf_spans(t):
     """The recursive leaf-span walk that ``leaf_spans`` replaced."""
     spans = set()

@@ -315,6 +315,33 @@ class TestSizeInput:
         assert text == ""
         assert one_error_line(capsys)
 
+    def test_classify_reports_the_declared_size(self, capsys):
+        code, text = run(["classify", "--poset", '{"size": -1, "inc": [], "dec": []}'])
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == "error: size must be at least 1, got -1\n"
+
+    @pytest.mark.parametrize("blob", [
+        '{"n": -2, "blocks": []}',
+        '{"lower": {"n": -2, "blocks": []}, "upper": {"n": -2, "blocks": []}}',
+    ])
+    def test_convert_ncp_reports_the_declared_size(self, capsys, blob):
+        code, text = run(["convert", "--from", "ncp", "--to", "poset", "--input", blob])
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == "error: size must be at least 1, got -2\n"
+
+    @pytest.mark.parametrize("blob", [
+        '{"n": 3, "blocks": []}',
+        '{"n": 3, "blocks": [[1], [2]]}',
+        '{"lower": {"n": 2, "blocks": [[1], [2]]}, "upper": {"n": 1, "blocks": [[1, 2]]}}',
+    ])
+    def test_convert_ncp_size_must_match_its_blocks(self, capsys, blob):
+        code, text = run(["convert", "--from", "ncp", "--to", "poset", "--input", blob])
+        assert code == 2
+        assert text == ""
+        assert one_error_line(capsys)
+
     def test_verify_respects_bound(self, capsys):
         code, text = run(["--bound", "2", "verify", "--max-size", "5"])
         assert code == 2

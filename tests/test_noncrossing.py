@@ -10,6 +10,7 @@ from tamari.noncrossing import (
     NoncrossingTree,
     PlantOutcome,
     boundary_tree,
+    count_nct,
     edge_labels,
     enumerate_ncp,
     enumerate_nct,
@@ -64,8 +65,17 @@ class TestNoncrossingTree:
     ])
     def test_counts(self, n, count):
         trees = enumerate_nct(n)
-        assert len(trees) == count == fuss_catalan(n)
+        assert len(trees) == count == fuss_catalan(n) == count_nct(n)
         assert len(set(trees)) == len(trees)
+
+    def test_count_is_fuss_catalan_up_to_thirty(self):
+        assert [count_nct(n) for n in range(1, 31)] == [
+            fuss_catalan(n) for n in range(1, 31)
+        ]
+
+    def test_count_of_size_zero_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            count_nct(0)
 
 
 class TestEdgeLabels:
