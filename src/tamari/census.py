@@ -3,11 +3,13 @@ closed formula, plus the triangle refining the Fuss-Catalan numbers."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial, prod
+from operator import add
 
-from . import classify
-from .noncrossing import count_nct, enumerate_ncp
+from . import classify, posets
+from .noncrossing import count_nct
 
 DEFAULT_BOUND = 6
 
@@ -96,10 +98,12 @@ def census(n: int, bound: int = DEFAULT_BOUND) -> CensusRow:
     popcounts of its :func:`classify.family_bits`: one bit per lower tree,
     so every interval is still decided on its own.  The noncrossing trees
     are counted by the recursion that generates them
-    (:func:`noncrossing.count_nct`), and the NC-partition intervals by
-    upper partition: the partitions below pi are the products of
-    noncrossing partitions of its blocks, Catalan(|B|) for a block B
-    (Kreweras 1972).
+    (:func:`noncrossing.count_nct`), the noncrossing partitions as one per
+    tree (:func:`noncrossing.partition_of_tree`), and the NC-partition
+    intervals by upper partition: the partitions below pi are the products
+    of noncrossing partitions of its blocks, Catalan(|B|) for a block B
+    (Kreweras 1972).  A tree's blocks are its maximal right chains: the
+    vertices v whose subtrees end at the same label v + r_v.
     """
     if n > bound:
         raise ValueError(f"size {n} exceeds the configured bound {bound}")
@@ -111,7 +115,6 @@ def census(n: int, bound: int = DEFAULT_BOUND) -> CensusRow:
         modern += bits.modern.bit_count()
         new += bits.new.bit_count()
         infinitely_modern += bits.infinitely_modern.bit_count()
-    ncps = enumerate_ncp(n)
     row = CensusRow(
         n=n,
         intervals=intervals,
@@ -121,9 +124,10 @@ def census(n: int, bound: int = DEFAULT_BOUND) -> CensusRow:
         infinitely_modern=infinitely_modern,
         trees=trees,
         noncrossing_trees=count_nct(n),
-        noncrossing_partitions=len(ncps),
+        noncrossing_partitions=trees,
         ncp_intervals=sum(
-            prod(catalan(len(block)) for block in pi.blocks) for pi in ncps
+            prod(map(catalan, Counter(map(add, range(n), r)).values()))
+            for r in posets.universe(n).brackets
         ),
     )
     counts = row.counts()
@@ -168,12 +172,12 @@ def triangle_by_statistic(n: int) -> TriangleB:
     """The same triangle from the (ir, dr) statistic over enumeration: per
     upper tree T, the infinitely modern lowers with dr = d are the lowers
     of T in ``DR=[d]``, the trees with dr = d, for d <= ir(T)."""
-    data = classify._tree_data(n)
-    at_most = classify._at_most(data.dr, n)
+    u = posets.universe(n)
+    at_most = classify._at_most(u.dr, n)
     exactly = [0] + [at_most[d] & ~at_most[d - 1] for d in range(1, n + 1)]
     table: dict[tuple[int, int], int] = {}
     for bits in classify.family_bits(n):
-        ir = data.ir[bits.upper]
+        ir = u.ir[bits.upper]
         for d in range(1, ir + 1):
             count = (bits.lowers & exactly[d]).bit_count()
             if count:

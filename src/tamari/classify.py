@@ -13,28 +13,21 @@ Four families are detected here:
   detected through the (ir, dr) statistic.
 
 Each classifier reads one poset.  :func:`pair_families` decides all four
-for the interval [S, T] from data cached per tree of its size; the
-classifiers are its oracles.  :func:`family_bits` decides them for every
-lower tree of an upper tree at once, with :func:`pair_families` as its
-oracle.
+for the interval [S, T] from the per-tree columns of
+:func:`posets.universe`; the classifiers are its oracles.
+:func:`family_bits` decides them for every lower tree of an upper tree
+at once, with :func:`pair_families` as its oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import and_, getitem, or_
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
-from .posets import IntervalPoset, Pair, _tree_tables
-from .trees import (
-    TamariInterval,
-    Tree,
-    dec_masks,
-    enumerate_trees,
-    mask_pairs,
-    subtree_spans,
-)
+from .posets import IntervalPoset, Pair, universe
+from .trees import TamariInterval, Tree, dec_masks, mask_pairs, subtree_spans
 
 
 def _cover_masks(p: IntervalPoset) -> list[int]:
@@ -127,52 +120,6 @@ def is_new_interval(interval: TamariInterval) -> bool:
     return not shared
 
 
-class _TreeData(NamedTuple):
-    """Per-tree data of one size, indexed like ``enumerate_trees(n)``, for
-    the tree-pair tests of :func:`pair_families` on Dec(S) | Inc(T)."""
-
-    left_kids: tuple[int, ...]  # bit v - 1: vertex v has a left child
-    right_kids: tuple[int, ...]  # bit v - 1: vertex v has a right child
-    ir: tuple[int, ...]  # stat's ir, read from the Inc masks
-    dr: tuple[int, ...]  # stat's dr, read from the Dec masks
-    exc_lower: tuple[tuple[tuple[int, int], ...], ...]  # per y: (b, last_S(b)), as S
-    exc_upper: tuple[tuple[tuple[int, int], ...], ...]  # per y: (first_T(a), a), as T
-    spans: tuple[frozenset[tuple[int, int]], ...]  # leaf_spans, frozen
-
-
-@lru_cache(maxsize=None)
-def _tree_data(n: int) -> _TreeData:
-    """The :class:`_TreeData` of size ``n``, built once per process.
-
-    For each label y, a is its nearest ancestor in T that has y in its
-    left subtree and b its nearest ancestor in S that has y in its right
-    subtree.  As a lower tree S keeps (b, last_S(b)) for each y, or
-    (n + 1, n + 1) when y has no such b; as an upper tree T keeps
-    (first_T(a), a), or (0, 0) when y has no such a.
-    """
-    tables = _tree_tables(n)
-    rows = []
-    for t, dec, inc in zip(enumerate_trees(n), tables.decs, tables.incs):
-        first, last = [0] * (n + 1), [0] * (n + 1)
-        left = right = 0
-        walk = subtree_spans(t)
-        for v, lo, hi in walk:
-            first[v], last[v] = lo, hi
-            left |= (lo < v) << (v - 1)
-            right |= (hi > v) << (v - 1)
-        ir = next((k for k in range(1, n) if inc[k - 1] >> k & 1), n)
-        dr = next((i for i in range(n, 1, -1) if dec[i - 1] >> (i - 2) & 1), 1)
-        # b: the largest j < y with y <| j, and a: the smallest j > y with
-        # y <| j, or 0 if there is none
-        exc_lower = tuple(
-            (b, last[b]) if b else (n + 1, n + 1) for b in map(int.bit_length, dec)
-        )
-        exc_upper = tuple((first[a], a) for a in [(m & -m).bit_length() for m in inc])
-        spans = frozenset([(lo, hi + 1) for _, lo, hi in walk])  # leaf_spans(t)
-        rows.append((left, right, ir, dr, exc_lower, exc_upper, spans))
-    return _TreeData(*map(tuple, zip(*rows)))
-
-
 class Families(NamedTuple):
     """The family flags of one interval, in the order of the census."""
 
@@ -187,23 +134,23 @@ def pair_families(n: int, lower: int, upper: int) -> Families:
     ``enumerate_trees(n)`` at indices ``lower`` and ``upper``, S <= T, from
     per-tree data alone:
 
-    - exceptional iff no y has a and b (see :func:`_tree_data`) with
-      b < first_T(a) and last_S(b) < a: then neither of y's up-covers a
-      and b lies below the other;
+    - exceptional iff no y has b < first_T(a) and last_S(b) < a, for a
+      and b of y in T and in S as in :class:`posets.Universe`: then
+      neither of y's up-covers a and b lies below the other;
     - modern iff no vertex has a left child in T and a right child in S;
     - new iff the leaf spans of S and T share only the full one
       (:func:`is_new_interval`);
     - infinitely modern iff dr(S) <= ir(T), as in :func:`stat`.
     """
-    data = _tree_data(n)
+    u = universe(n)
     return Families(
         exceptional=not any(
             b < f and last < a
-            for (b, last), (f, a) in zip(data.exc_lower[lower], data.exc_upper[upper])
+            for (b, last), (f, a) in zip(u.exc_lower[lower], u.exc_upper[upper])
         ),
-        modern=not data.left_kids[upper] & data.right_kids[lower],
-        new=data.spans[lower] & data.spans[upper] <= {(1, n + 1)},
-        infinitely_modern=data.dr[lower] <= data.ir[upper],
+        modern=not any(l and r for l, r in zip(u.lefts[upper], u.brackets[lower])),
+        new=set(u.spans[lower]).intersection(u.spans[upper]) <= {(1, n + 1)},
+        infinitely_modern=u.dr[lower] <= u.ir[upper],
     )
 
 
@@ -264,13 +211,13 @@ def family_bits(n: int) -> Iterator[FamilyBits]:
     The bitsets are built here and not kept: each caller reads one size
     once.
     """
-    tables, data = _tree_tables(n), _tree_data(n)
-    at_most = [_at_most(column, n - 1 - i) for i, column in enumerate(zip(*tables.brackets))]
-    dr_at_most = _at_most(data.dr, n)
-    spans = _holding(data.spans)
+    u = universe(n)
+    at_most = [_at_most(column, n - 1 - i) for i, column in enumerate(zip(*u.brackets))]
+    dr_at_most = _at_most(u.dr, n)
+    spans = _holding(u.spans)
     full = (1, n + 1)
     witness = []
-    for y, pairs in enumerate(zip(*data.exc_lower), 1):
+    for y, pairs in enumerate(zip(*u.exc_lower), 1):
         b_at_most = _at_most([b for b, _ in pairs], n)
         last_at_most = _at_most([last for _, last in pairs], n)
         # an upper tree's (f, a) has f <= y < a, or is (0, 0)
@@ -278,18 +225,19 @@ def family_bits(n: int) -> Iterator[FamilyBits]:
                 for f in range(1, y + 1) for a in range(y + 1, n + 1)}
         cell[0, 0] = 0
         witness.append(cell)
-    for upper, (r, left) in enumerate(zip(tables.brackets, data.left_kids)):
+    for upper, (r, left) in enumerate(zip(u.brackets, u.lefts)):
         lowers = reduce(and_, map(getitem, at_most, r))
-        modern = reduce(and_, (at_most[v][0] for v in range(n) if left >> v & 1), lowers)
-        shared = reduce(or_, (spans[s] for s in data.spans[upper] if s != full), 0)
-        crossed = reduce(or_, map(getitem, witness, data.exc_upper[upper]))
+        modern = reduce(and_, (at_most[v][0] for v, l in enumerate(left) if l), lowers)
+        shared = reduce(or_, (spans[s] for s in u.spans[upper] if s != full), 0)
+        crossed = reduce(or_, map(getitem, witness, u.exc_upper[upper]))
+        # x ^ (x & y) is x & ~y, without the negative int: about 4x faster
         yield FamilyBits(
             upper=upper,
             lowers=lowers,
-            exceptional=lowers & ~crossed,
+            exceptional=lowers ^ (lowers & crossed),
             modern=modern,
-            new=lowers & ~shared,
-            infinitely_modern=lowers & dr_at_most[data.ir[upper]],
+            new=lowers ^ (lowers & shared),
+            infinitely_modern=lowers & dr_at_most[u.ir[upper]],
         )
 
 

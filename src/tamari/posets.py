@@ -15,9 +15,9 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import repeat
-from operator import or_
-from typing import Iterator, NamedTuple
+from itertools import accumulate, repeat
+from operator import add, le, or_, sub
+from typing import Iterator
 
 from .trees import (
     BinaryTree,
@@ -29,6 +29,7 @@ from .trees import (
     inc_masks,
     mask_pairs,
     relation_masks,
+    subtree_spans,
 )
 
 Pair = tuple[int, int]
@@ -294,62 +295,160 @@ def to_interval(p: IntervalPoset) -> TamariInterval:
     return TamariInterval(_lower_tree(dec_masks(p.up)), _upper_tree(inc_masks(p.up)))
 
 
-def _pack(masks) -> int:
-    """Masks of one tree in one int, for subset tests between trees."""
-    n = len(masks)
-    return sum(mask << (i * n) for i, mask in enumerate(masks))
-
-
-class _Tables(NamedTuple):
-    """Per-tree tables of one size, indexed like ``enumerate_trees(n)``."""
-
-    decs: tuple[Masks, ...]  # Dec masks
-    incs: tuple[Masks, ...]  # Inc masks
-    packed: tuple[int, ...]  # Dec masks packed by _pack
-    brackets: tuple[tuple[int, ...], ...]  # r_i: the size of vertex i's right subtree
-    by_inc: tuple[int, ...]  # tree indices in the order of their sorted Inc pairs
-    by_dec: tuple[int, ...]  # tree indices in the order of their sorted Dec pairs
-    inc_json: tuple[str, ...]  # the sorted Inc pairs as JSON text
-    dec_json: tuple[str, ...]  # the sorted Dec pairs as JSON text
-
-
 def _pairs_json(pairs: list[Pair]) -> str:
     """``json.dumps(pairs)``, byte for byte, in about half its time."""
     return "[" + ", ".join([f"[{x}, {y}]" for x, y in pairs]) + "]"
 
 
-@lru_cache(maxsize=None)
-def _tree_tables(n: int) -> _Tables:
-    """The tables of every tree of size ``n``; each tree is walked once per
-    size."""
-    decs, incs, packed, brackets, inc_pairs, dec_pairs = [], [], [], [], [], []
-    for t in enumerate_trees(n):
-        up = relation_masks(t)
-        decs.append(dec_masks(up))
-        incs.append(inc_masks(up))
-        packed.append(_pack(decs[-1]))
-        # vertex i's subtree ends just below the smallest label above i on
-        # the increasing side, or at n if there is none
-        brackets.append(tuple(
-            ((m & -m).bit_length() or n + 1) - 2 - i for i, m in enumerate(incs[-1])
-        ))
-        inc, dec = _sorted_pairs(up)
-        inc_pairs.append(inc)
-        dec_pairs.append(dec)
-    indices = range(len(decs))
-    return _Tables(
-        tuple(decs),
-        tuple(incs),
-        tuple(packed),
-        tuple(brackets),
-        tuple(sorted(indices, key=inc_pairs.__getitem__)),
-        tuple(sorted(indices, key=dec_pairs.__getitem__)),
-        tuple(map(_pairs_json, inc_pairs)),
-        tuple(map(_pairs_json, dec_pairs)),
-    )
+class Universe:
+    """The trees of one size and the intervals between them, as columns
+    indexed like ``enumerate_trees(n)`` (a per-vertex row by label - 1),
+    or by interval in enumeration order (``lowers``, ``uppers``, ``posets``).
+    Each is built on first read: ``census`` builds no JSON, sort order,
+    interval pair or poset, and ``enumerate`` no classifier column."""
+
+    def __init__(self, n: int) -> None:
+        if n < 1:
+            raise ValueError("size must be at least 1")
+        self.n = n
+
+    trees = property(lambda self: enumerate_trees(self.n))
+
+    @cached_property
+    def _sizes(self) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+        lefts, rights = [], []  # one walk per tree for both
+        for t in self.trees:
+            left, right = bytearray(self.n), bytearray(self.n)
+            for v, lo, hi in subtree_spans(t):
+                left[v - 1], right[v - 1] = v - lo, hi - v
+            lefts.append(bytes(left))
+            rights.append(bytes(right))
+        return tuple(lefts), tuple(rights)
+
+    # l_v and r_v, the sizes of vertex v's left and right subtrees, so its
+    # subtree covers the labels v - l_v .. v + r_v; the r_v of a tree are
+    # its bracket vector (Huang-Tamari 1972)
+    lefts = property(lambda self: self._sizes[0])
+    brackets = property(lambda self: self._sizes[1])
+
+    # b = y - l_y - 1, the label just before y's subtree, is y's nearest
+    # ancestor that has y in its right subtree (none if 0), and
+    # a = y + r_y + 1, the label just after it, its nearest ancestor that
+    # has y in its left subtree (none if n + 1).
+
+    @cached_property
+    def decs(self) -> tuple[Masks, ...]:
+        """Bit j - 1 of entry y - 1 iff y is in j's right subtree: b or b's."""
+        rows = []
+        for l in self.lefts:
+            dec = [0] * self.n
+            for y, b in enumerate(map(sub, range(self.n), l)):
+                if b:
+                    dec[y] = dec[b - 1] | 1 << (b - 1)
+            rows.append(tuple(dec))
+        return tuple(rows)
+
+    @cached_property
+    def incs(self) -> tuple[Masks, ...]:
+        """Bit j - 1 of entry y - 1 iff y is in j's left subtree: a or a's."""
+        n, rows = self.n, []
+        for r in self.brackets:
+            inc = [0] * n
+            for y in range(n - 1, -1, -1):
+                a = y + r[y] + 2
+                if a <= n:
+                    inc[y] = inc[a - 1] | 1 << (a - 1)
+            rows.append(tuple(inc))
+        return tuple(rows)
+
+    @cached_property
+    def ir(self) -> tuple[int, ...]:
+        """:func:`classify.stat`'s ir of T: k <| k + 1 iff r_k = 0, so the
+        first such k < n, else n."""
+        return tuple(r.find(0, 0, self.n - 1) + 1 or self.n for r in self.brackets)
+
+    @cached_property
+    def dr(self) -> tuple[int, ...]:
+        """:func:`classify.stat`'s dr of S: i <| i - 1 iff l_i = 0, so the
+        last such i >= 2, else 1."""
+        return tuple(left.rfind(0, 1) + 1 or 1 for left in self.lefts)
+
+    @cached_property
+    def _grid(self) -> list[list[Pair]]:
+        # _grid[i][j] == (i, j): a row of pairs from it holds references
+        return [[(i, j) for j in range(self.n + 2)] for i in range(self.n + 2)]
+
+    @cached_property
+    def exc_lower(self) -> tuple[tuple[Pair, ...], ...]:
+        """Per y, (b, last_S(b)), or (n + 1, n + 1) if b = 0."""
+        return tuple(tuple(self._grid[b][b + r[b - 1]] if b else self._grid[-1][-1]
+                           for b in map(sub, range(self.n), l))
+                     for l, r in zip(self.lefts, self.brackets))
+
+    @cached_property
+    def exc_upper(self) -> tuple[tuple[Pair, ...], ...]:
+        """Per y, (first_T(a), a), or (0, 0) if a = n + 1."""
+        return tuple(tuple(self._grid[a - l[a - 1]][a] if a <= self.n else self._grid[0][0]
+                           for a in map(add, range(2, self.n + 2), r))
+                     for l, r in zip(self.lefts, self.brackets))
+
+    @cached_property
+    def spans(self) -> tuple[tuple[Pair, ...], ...]:
+        """Per vertex v, its leaf span (v - l_v, v + r_v + 1)."""
+        return tuple(tuple(self._grid[v - l_v][v + r_v + 1]
+                           for v, l_v, r_v in zip(range(1, self.n + 1), l, r))
+                     for l, r in zip(self.lefts, self.brackets))
+
+    @cached_property
+    def rise_caps(self) -> tuple[bytes, ...]:
+        """cap_j(T) = min(n - j, min over m < j of r_m(T)); see
+        :func:`risefall.all_rises_valid`."""
+        n = self.n
+        return tuple(bytes(map(min, range(n - 1, -1, -1), accumulate(r, min, initial=n)))
+                     for r in self.brackets)
+
+    @cached_property
+    def _orders(self) -> tuple[tuple, tuple, tuple[str, ...], tuple[str, ...]]:
+        # enumeration reads all four, from one pass of sorted pair lists
+        pairs = (_sorted_pairs(map(or_, d, i)) for d, i in zip(self.decs, self.incs))
+        inc_pairs, dec_pairs = zip(*pairs)
+        trees = range(len(inc_pairs))
+        return (
+            tuple(sorted(trees, key=inc_pairs.__getitem__)),
+            tuple(sorted(trees, key=dec_pairs.__getitem__)),
+            tuple(map(_pairs_json, inc_pairs)),
+            tuple(map(_pairs_json, dec_pairs)),
+        )
+
+    # tree indices in the order of their sorted Inc pairs and of their
+    # sorted Dec pairs, and those pairs as JSON text
+    by_inc = property(lambda self: self._orders[0])
+    by_dec = property(lambda self: self._orders[1])
+    inc_json = property(lambda self: self._orders[2])
+    dec_json = property(lambda self: self._orders[3])
+
+    @cached_property
+    def _pairs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        # two flat tuples, not one of pairs: a pair tuple per poset would
+        # cost more than the two index tuples together
+        lowers, uppers = [], []
+        for upper, below in _interval_pairs(self):
+            lowers += below
+            uppers += repeat(upper, len(below))
+        return tuple(lowers), tuple(uppers)
+
+    lowers = property(lambda self: self._pairs[0])
+    uppers = property(lambda self: self._pairs[1])
+
+    @cached_property
+    def posets(self) -> tuple[IntervalPoset, ...]:
+        return tuple(map(partial(_interval_poset, self), self.lowers, self.uppers))
 
 
-def _bracket_trie(tables: _Tables):
+universe = lru_cache(maxsize=None)(Universe)  # one per size and process
+
+
+def _bracket_trie(u: Universe):
     """The bracket vectors of the trees as a trie read from r_n down to r_1.
 
     A node is ``(values, children)``: the values r_i takes below it, in
@@ -357,8 +456,8 @@ def _bracket_trie(tables: _Tables):
     last level are the ranks of the trees in ``by_dec``.
     """
     root: dict = {}
-    for rank, tree in enumerate(tables.by_dec):
-        r = tables.brackets[tree]
+    for rank, tree in enumerate(u.by_dec):
+        r = u.brackets[tree]
         node = root
         for value in reversed(r[1:]):
             node = node.setdefault(value, {})
@@ -373,7 +472,7 @@ def _bracket_trie(tables: _Tables):
     return freeze(root)
 
 
-def _interval_pairs(tables: _Tables) -> Iterator[tuple[int, list[int]]]:
+def _interval_pairs(u: Universe) -> Iterator[tuple[int, list[int]]]:
     """Each upper tree T with its lower trees S <= T, as tree indices, in
     the :meth:`IntervalPoset.sort_key` order of their posets.
 
@@ -387,11 +486,11 @@ def _interval_pairs(tables: _Tables) -> Iterator[tuple[int, list[int]]]:
     values up to r_i(T).  Every partial vector extends (r_j = 0 for the
     rest), so each node reached leads to an interval.
     """
-    trie = _bracket_trie(tables)
-    by_dec = tables.by_dec
-    for upper in tables.by_inc:
+    trie = _bracket_trie(u)
+    by_dec = u.by_dec
+    for upper in u.by_inc:
         level = [trie]
-        for cap in reversed(tables.brackets[upper]):
+        for cap in reversed(u.brackets[upper]):
             level = [
                 child
                 for values, children in level
@@ -401,51 +500,11 @@ def _interval_pairs(tables: _Tables) -> Iterator[tuple[int, list[int]]]:
         yield upper, [by_dec[rank] for rank in level]
 
 
-def _interval_poset(tables: _Tables, lower: int, upper: int) -> IntervalPoset:
+def _interval_poset(u: Universe, lower: int, upper: int) -> IntervalPoset:
     """Dec(lower) | Inc(upper), trusted: for lower <= upper it is already
     the closed interval-poset of the interval (Chatel-Pons).  The
     enumeration tests validate every one of them up to size 8."""
-    return _build(IntervalPoset, tuple(map(or_, tables.decs[lower], tables.incs[upper])))
-
-
-class Universe:
-    """Every interval-poset of one size with the indices of its two trees.
-
-    ``lowers[i]`` and ``uppers[i]`` index into ``trees`` the bounds of the
-    i-th interval in enumeration order; ``tables`` are the per-tree tables
-    they were generated from.  ``posets[i]`` is its poset, and the posets
-    are built on first read, so checks that read only trees or pairs of
-    trees build none.
-    """
-
-    # a plain class: a dataclass would cost every CLI start about 0.7 ms
-    def __init__(self, trees: tuple[Tree, ...], tables: _Tables,
-                 lowers: tuple[int, ...], uppers: tuple[int, ...]) -> None:
-        self.trees = trees  # enumerate_trees(n)
-        self.tables = tables
-        self.lowers = lowers
-        self.uppers = uppers
-
-    @cached_property
-    def posets(self) -> tuple[IntervalPoset, ...]:
-        return tuple(map(partial(_interval_poset, self.tables), self.lowers, self.uppers))
-
-
-@lru_cache(maxsize=None)
-def universe(n: int) -> Universe:
-    """The :class:`Universe` of size ``n``, built once per process; the
-    one cache behind :func:`enumerate_interval_posets`."""
-    if n < 1:
-        raise ValueError("size must be at least 1")
-    tables = _tree_tables(n)
-    # two flat tuples, not one of pairs: a pair tuple per poset would cost
-    # more than the two index tuples together
-    lowers: list[int] = []
-    uppers: list[int] = []
-    for upper, below in _interval_pairs(tables):
-        lowers += below
-        uppers += repeat(upper, len(below))
-    return Universe(enumerate_trees(n), tables, tuple(lowers), tuple(uppers))
+    return _build(IntervalPoset, tuple(map(or_, u.decs[lower], u.incs[upper])))
 
 
 def enumerate_interval_posets(n: int) -> list[IntervalPoset]:
@@ -465,16 +524,14 @@ def stream_interval_posets(n: int) -> Iterator[tuple[IntervalPoset, str]]:
     lazily and in the order of :func:`enumerate_interval_posets`.  A line
     is joined from the JSON of the upper tree's Inc pairs and the lower
     tree's Dec pairs; no list of posets is held."""
-    if n < 1:
-        raise ValueError("size must be at least 1")
-    tables = _tree_tables(n)
+    u = universe(n)
     head = f'{{"size": {n}, "inc": '
     return (
         (
-            _interval_poset(tables, lower, upper),
-            head + tables.inc_json[upper] + ', "dec": ' + tables.dec_json[lower] + "}",
+            _interval_poset(u, lower, upper),
+            head + u.inc_json[upper] + ', "dec": ' + u.dec_json[lower] + "}",
         )
-        for upper, lowers in _interval_pairs(tables)
+        for upper, lowers in _interval_pairs(u)
         for lower in lowers
     )
 
@@ -483,11 +540,11 @@ def stream_interval_json(n: int) -> Iterator[tuple[int, str]]:
     """The lines of :func:`stream_interval_posets` without building a
     poset: per upper tree, the number of its intervals and their lines as
     one text, each line ending in a newline."""
-    tables = _tree_tables(n)
+    u = universe(n)
     head = f'{{"size": {n}, "inc": '
-    tails = [', "dec": ' + dec + "}\n" for dec in tables.dec_json]
-    for upper, lowers in _interval_pairs(tables):
-        start = head + tables.inc_json[upper]
+    tails = [', "dec": ' + dec + "}\n" for dec in u.dec_json]
+    for upper, lowers in _interval_pairs(u):
+        start = head + u.inc_json[upper]
         yield len(lowers), start + start.join(map(tails.__getitem__, lowers))
 
 
@@ -499,13 +556,15 @@ def mirror_poset(p: IntervalPoset) -> IntervalPoset:
 
 
 def interval_members(p: IntervalPoset) -> list[Tree]:
-    """All trees lying in the interval encoded by ``p``, by Dec-inclusion."""
-    lower, upper = to_interval(p).masks
-    low, high = _pack(dec_masks(lower)), _pack(dec_masks(upper))
-    packed = _tree_tables(p.n).packed
+    """All trees lying in the interval encoded by ``p``: the trees whose
+    bracket vector lies between those of its bounds (Huang-Tamari), the
+    tree with Dec(p) and the tree with Inc(p)."""
+    u = universe(p.n)
+    low = u.brackets[u.decs.index(dec_masks(p.up))]
+    high = u.brackets[u.incs.index(inc_masks(p.up))]
     return [
-        t for t, dec in zip(enumerate_trees(p.n), packed)
-        if low & ~dec == 0 and dec & ~high == 0
+        t for t, r in zip(u.trees, u.brackets)
+        if all(map(le, low, r)) and all(map(le, r, high))
     ]
 
 

@@ -199,7 +199,7 @@ def _check_roundtrips(max_size: int) -> str:
     # masks and from its Inc masks
     for n in range(1, max_size + 1):
         u = universe(n)
-        for t, dec, inc in zip(u.trees, u.tables.decs, u.tables.incs):
+        for t, dec, inc in zip(u.trees, u.decs, u.incs):
             if _lower_tree(dec) != t or _upper_tree(inc) != t:
                 return f"n={n}: interval round trip fails at {tree_to_text(t)}"
     for n in range(1, min(max_size, NCT_ROUND_TRIP_CAP) + 1):

@@ -9,14 +9,18 @@ shape of a rise, the tree mirror for ``mirror_poset``, the span-OR loop for
 ``relation_masks``, the recursive text and repr of a tree, the
 Bell-number scan for ``enumerate_ncp``, the ``ncp_leq`` pair scan for
 the census's NC-partition interval count, the packed tree-pair scan
-for the bracket-vector generator of ``posets._interval_pairs``, and the
-per-pair (ir, dr) loop for the triangle's bitsets.  Several
-recurse, which is fine on the small trees the tests give them.
+for the bracket-vector generator of ``posets._interval_pairs``, the
+per-pair (ir, dr) loop for the triangle's bitsets, and the three
+per-size caches that the columns of ``posets.universe`` replaced: the
+tables read from ``relation_masks``, the per-tree walk of the
+classifier data, and the packed rise bounds.  Several recurse, which is
+fine on the small trees the tests give them.
 """
 
 from __future__ import annotations
 
-from tamari import classify
+from typing import NamedTuple
+
 from tamari.census import TriangleB
 from tamari.noncrossing import (
     NoncrossingPartition,
@@ -31,13 +35,17 @@ from tamari.posets import (
     RangeRelation,
     _close,
     _masks,
+    _pairs_json,
+    _sorted_pairs,
     universe,
     validate,
 )
 from tamari.trees import (
     BinaryTree,
+    Masks,
     Tree,
     dec_masks,
+    enumerate_trees,
     inc_masks,
     mask_pairs,
     relation_masks,
@@ -179,7 +187,131 @@ def tree_from_text(text: str) -> Tree:
     return t
 
 
-def interval_pair_scan(tables) -> list[tuple[int, int]]:
+# -- per-tree tables ------------------------------------------------------------
+
+# the columns of ``posets.universe`` that only enumeration reads (JSON
+# fragments, sort orders, interval pairs and posets), and those that only
+# the classifiers read
+ENUMERATION_COLUMNS = {"_orders", "_pairs", "posets"}
+CLASSIFIER_COLUMNS = {"ir", "dr", "exc_lower", "exc_upper", "spans", "rise_caps"}
+
+
+def pack(masks) -> int:
+    """Masks of one tree in one int, for subset tests between trees."""
+    n = len(masks)
+    return sum(mask << (i * n) for i, mask in enumerate(masks))
+
+
+class Tables(NamedTuple):
+    """Per-tree tables of one size, indexed like ``enumerate_trees(n)``."""
+
+    decs: tuple[Masks, ...]  # Dec masks
+    incs: tuple[Masks, ...]  # Inc masks
+    packed: tuple[int, ...]  # Dec masks packed by pack
+    brackets: tuple[tuple[int, ...], ...]  # r_i: the size of vertex i's right subtree
+    by_inc: tuple[int, ...]  # tree indices in the order of their sorted Inc pairs
+    by_dec: tuple[int, ...]  # tree indices in the order of their sorted Dec pairs
+    inc_json: tuple[str, ...]  # the sorted Inc pairs as JSON text
+    dec_json: tuple[str, ...]  # the sorted Dec pairs as JSON text
+
+
+def relation_mask_tables(n: int) -> Tables:
+    """The per-tree tables as they were built before the columns of
+    ``posets.universe``: each tree walked for its ``relation_masks``."""
+    decs, incs, packed, brackets, inc_pairs, dec_pairs = [], [], [], [], [], []
+    for t in enumerate_trees(n):
+        up = relation_masks(t)
+        decs.append(dec_masks(up))
+        incs.append(inc_masks(up))
+        packed.append(pack(decs[-1]))
+        # vertex i's subtree ends just below the smallest label above i on
+        # the increasing side, or at n if there is none
+        brackets.append(tuple(
+            ((m & -m).bit_length() or n + 1) - 2 - i for i, m in enumerate(incs[-1])
+        ))
+        inc, dec = _sorted_pairs(up)
+        inc_pairs.append(inc)
+        dec_pairs.append(dec)
+    indices = range(len(decs))
+    return Tables(
+        tuple(decs),
+        tuple(incs),
+        tuple(packed),
+        tuple(brackets),
+        tuple(sorted(indices, key=inc_pairs.__getitem__)),
+        tuple(sorted(indices, key=dec_pairs.__getitem__)),
+        tuple(map(_pairs_json, inc_pairs)),
+        tuple(map(_pairs_json, dec_pairs)),
+    )
+
+
+class TreeData(NamedTuple):
+    """Per-tree classifier data of one size, indexed like
+    ``enumerate_trees(n)``."""
+
+    left_kids: tuple[int, ...]  # bit v - 1: vertex v has a left child
+    right_kids: tuple[int, ...]  # bit v - 1: vertex v has a right child
+    ir: tuple[int, ...]  # stat's ir, read from the Inc masks
+    dr: tuple[int, ...]  # stat's dr, read from the Dec masks
+    exc_lower: tuple[tuple[tuple[int, int], ...], ...]  # per y: (b, last_S(b)), as S
+    exc_upper: tuple[tuple[tuple[int, int], ...], ...]  # per y: (first_T(a), a), as T
+    spans: tuple[frozenset[tuple[int, int]], ...]  # leaf_spans, frozen
+
+
+def walked_tree_data(n: int) -> TreeData:
+    """The classifier data as it was built before the columns of
+    ``posets.universe``: a span walk per tree, ir and dr scanned from the
+    Inc and Dec masks, b the largest label in y's Dec mask and a the
+    smallest in its Inc mask."""
+    tables = relation_mask_tables(n)
+    rows = []
+    for t, dec, inc in zip(enumerate_trees(n), tables.decs, tables.incs):
+        first, last = [0] * (n + 1), [0] * (n + 1)
+        left = right = 0
+        walk = subtree_spans(t)
+        for v, lo, hi in walk:
+            first[v], last[v] = lo, hi
+            left |= (lo < v) << (v - 1)
+            right |= (hi > v) << (v - 1)
+        ir = next((k for k in range(1, n) if inc[k - 1] >> k & 1), n)
+        dr = next((i for i in range(n, 1, -1) if dec[i - 1] >> (i - 2) & 1), 1)
+        exc_lower = tuple(
+            (b, last[b]) if b else (n + 1, n + 1) for b in map(int.bit_length, dec)
+        )
+        exc_upper = tuple((first[a], a) for a in [(m & -m).bit_length() for m in inc])
+        spans = frozenset([(lo, hi + 1) for _, lo, hi in walk])
+        rows.append((left, right, ir, dr, exc_lower, exc_upper, spans))
+    return TreeData(*map(tuple, zip(*rows)))
+
+
+def packed_rise_bounds(n: int) -> tuple[int, ...]:
+    """R(T) for each tree T of ``enumerate_trees(n)``, as it was before the
+    rise caps: the AND over k = 1..n+1 of the packed first n Dec masks of
+    k (+) T.  Entry i (0-based) of those masks is ``(1 << i) - 1`` for
+    i < k, else ``(1 << k) - 1 | Dec(T)[i - k] << k``."""
+    bounds = []
+    for dec in relation_mask_tables(n).decs:
+        bound = -1
+        for k in range(1, n + 2):
+            bound &= pack(
+                [(1 << i) - 1 if i < k else (1 << k) - 1 | dec[i - k] << k
+                 for i in range(n)]
+            )
+        bounds.append(bound)
+    return tuple(bounds)
+
+
+def packed_caps(caps: bytes) -> int:
+    """A tree's rise caps as the packed Dec bound they stand for: y lies
+    below x iff x < y <= x + cap_x."""
+    n = len(caps)
+    return pack([
+        sum(1 << (x - 1) for x in range(1, y) if y <= x + caps[x - 1])
+        for y in range(1, n + 1)
+    ])
+
+
+def interval_pair_scan(tables: Tables) -> list[tuple[int, int]]:
     """(lower, upper) tree indices of every Tamari interval, in the order
     of ``posets._interval_pairs``, as Dec inclusion on packed masks over
     every ordered pair of trees: the scan that the bracket-vector
@@ -246,7 +378,7 @@ def triangle_pair_scan(n: int) -> TriangleB:
     universe's tree pairs, dr of each lower tree and ir of each upper tree:
     the loop that the per-upper bitsets replaced."""
     u = universe(n)
-    data = classify._tree_data(n)
+    data = walked_tree_data(n)
     table: dict[tuple[int, int], int] = {}
     for lower, upper in zip(u.lowers, u.uppers):
         dr, ir = data.dr[lower], data.ir[upper]

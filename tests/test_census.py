@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from oracles import ncp_interval_scan, triangle_pair_scan
-from tamari import noncrossing
+from oracles import ENUMERATION_COLUMNS, ncp_interval_scan, triangle_pair_scan
+from tamari import noncrossing, posets
 from tamari.census import (
     catalan,
     census,
@@ -91,18 +91,24 @@ class TestCensus:
     def test_kreweras_count_equals_the_pair_scan(self, n):
         assert census(n, bound=7).ncp_intervals == ncp_interval_scan(n)
 
-    def test_reads_no_universe_and_builds_no_noncrossing_tree(self, monkeypatch):
-        built = []
+    def test_reads_only_tree_columns_and_builds_no_noncrossing_tree(self, monkeypatch):
+        built, paired = [], []
 
         def counting(*args):
             built.append(None)
 
+        def counting_pairs(*args):
+            paired.append(None)
+            return iter(())
+
         monkeypatch.setattr(noncrossing, "_trusted_nct", counting)
         monkeypatch.setattr(noncrossing.NoncrossingTree, "__post_init__", counting)
+        monkeypatch.setattr(posets, "_interval_poset", counting)
+        monkeypatch.setattr(posets, "_interval_pairs", counting_pairs)
         universe.cache_clear()
         census(6)
-        assert universe.cache_info().currsize == 0
-        assert not built
+        assert not set(vars(universe(6))) & ENUMERATION_COLUMNS
+        assert not built and not paired
 
     def test_size_one_skips_the_new_formula(self):
         row = census(1)

@@ -205,10 +205,9 @@ class TestPairFamilies:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_per_tree_statistic_equals_stat(self, n):
         u = universe(n)
-        data = classify._tree_data(n)
         for p, lower, upper in zip(u.posets, u.lowers, u.uppers):
             assert classify.stat(p) == classify.StatPair(
-                ir=data.ir[upper], dr=data.dr[lower]
+                ir=u.ir[upper], dr=u.dr[lower]
             )
 
 

@@ -13,6 +13,7 @@ import io
 
 import pytest
 
+from oracles import CLASSIFIER_COLUMNS
 from tamari import posets
 from tamari.cli import POSET_FILTERS, main
 from tamari.posets import (
@@ -131,10 +132,13 @@ def test_first_record_is_written_before_the_second_poset_is_built(monkeypatch):
 
     monkeypatch.setattr(posets, "_interval_poset", counting_posets)
     monkeypatch.setattr(posets, "_interval_pairs", counting_uppers)
+    posets.universe.cache_clear()
     sink = FirstLine()
     assert main(["enumerate", "--size", "6"], sink) == 0
     assert sink.seen == (1, 0)
     assert len(uppers) == 132 and not built
+    # nor does it read a classifier column
+    assert not set(vars(posets.universe(6))) & CLASSIFIER_COLUMNS
 
     uppers.clear()
     sink = FirstLine()

@@ -5,12 +5,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import (
+    ENUMERATION_COLUMNS,
     dec_relations,
     inc_relations,
     interval_pair_scan,
     is_valid,
     mirror,
+    packed_caps,
+    packed_rise_bounds,
+    relation_mask_tables,
     transitive_closure,
+    walked_tree_data,
 )
 from tamari import census, posets
 from tamari.posets import (
@@ -230,7 +235,7 @@ class TestUniverse:
         u = universe(n)
         per_tree = all(
             _lower_tree(dec) == t and _upper_tree(inc) == t
-            for t, dec, inc in zip(u.trees, u.tables.decs, u.tables.incs)
+            for t, dec, inc in zip(u.trees, u.decs, u.incs)
         )
         per_poset = all(from_interval(to_interval(p)) == p for p in u.posets)
         assert per_tree and per_poset
@@ -245,18 +250,17 @@ class TestIntervalPairs:
         "n", [1, 2, 3, 4, 5, 6, 7, 8, pytest.param(9, marks=pytest.mark.slow)]
     )
     def test_pairs_equal_the_scan(self, n):
-        tables = posets._tree_tables(n)
         generated = [
             (lower, upper)
-            for upper, lowers in posets._interval_pairs(tables)
+            for upper, lowers in posets._interval_pairs(universe(n))
             for lower in lowers
         ]
-        assert generated == interval_pair_scan(tables)
+        assert generated == interval_pair_scan(relation_mask_tables(n))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_brackets_are_the_right_subtree_sizes(self, n):
-        for t, r in zip(enumerate_trees(n), posets._tree_tables(n).brackets):
-            assert r == tuple(hi - v for v, _, hi in sorted(subtree_spans(t)))
+        for t, r in zip(enumerate_trees(n), universe(n).brackets):
+            assert tuple(r) == tuple(hi - v for v, _, hi in sorted(subtree_spans(t)))
 
 
 class TestLazyUniverse:
@@ -272,7 +276,7 @@ class TestLazyUniverse:
         universe.cache_clear()
         census.census(6)
         assert not built
-        assert "posets" not in vars(universe(6))
+        assert not set(vars(universe(6))) & ENUMERATION_COLUMNS
         assert len(universe(6).posets) == len(built) == 2530
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
@@ -280,9 +284,46 @@ class TestLazyUniverse:
         trees = enumerate_trees(n)
         eager = tuple(
             validate(RangeRelation(n, dec_relations(trees[low]) | inc_relations(trees[up])))
-            for low, up in interval_pair_scan(posets._tree_tables(n))
+            for low, up in interval_pair_scan(relation_mask_tables(n))
         )
         assert universe(n).posets == eager
+
+
+class TestColumns:
+    """Every column of the universe against the per-size cache it
+    replaced, on every tree."""
+
+    SIZES = [1, 2, 3, 4, 5, 6, 7, 8, pytest.param(9, marks=pytest.mark.slow)]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_tables_equal_the_relation_mask_tables(self, n):
+        u, tables = universe(n), relation_mask_tables(n)
+        assert u.decs == tables.decs
+        assert u.incs == tables.incs
+        assert tuple(map(tuple, u.brackets)) == tables.brackets
+        assert u.by_inc == tables.by_inc
+        assert u.by_dec == tables.by_dec
+        assert u.inc_json == tables.inc_json
+        assert u.dec_json == tables.dec_json
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_classifier_columns_equal_the_walk(self, n):
+        u, data = universe(n), walked_tree_data(n)
+        assert u.ir == data.ir
+        assert u.dr == data.dr
+        assert u.exc_lower == data.exc_lower
+        assert u.exc_upper == data.exc_upper
+        assert tuple(map(frozenset, u.spans)) == data.spans
+        # the child masks that pair_families read from the walk
+        kids = [
+            tuple(sum(bool(size) << v for v, size in enumerate(row)) for row in column)
+            for column in (u.lefts, u.brackets)
+        ]
+        assert kids == [data.left_kids, data.right_kids]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_rise_caps_equal_the_packed_bounds(self, n):
+        assert tuple(map(packed_caps, universe(n).rise_caps)) == packed_rise_bounds(n)
 
 
 class TestIntervalMasks:

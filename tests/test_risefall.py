@@ -1,10 +1,9 @@
 import pytest
 
-from oracles import graft, is_valid
+from oracles import graft, is_valid, pack, packed_caps
 from tamari import classify, risefall
 from tamari.posets import (
     RangeRelation,
-    _pack,
     enumerate_interval_posets,
     make_poset,
     to_interval,
@@ -237,8 +236,8 @@ class TestAllRises:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_bounds_from_the_chained_trees(self, n):
-        for t, bound in zip(enumerate_trees(n), risefall._rise_bounds(n)):
+        for t, caps in zip(enumerate_trees(n), universe(n).rise_caps):
             want = -1
             for k in range(1, n + 2):
-                want &= _pack(dec_masks(relation_masks(chain_above(k, t)))[:n])
-            assert bound == want
+                want &= pack(dec_masks(relation_masks(chain_above(k, t)))[:n])
+            assert packed_caps(caps) == want
