@@ -12,11 +12,9 @@ Four families are detected here:
 * infinitely modern: every iterated rise stays an interval-poset,
   detected through the (ir, dr) statistic.
 
-Each classifier reads one poset.  :func:`pair_families` decides all four
-for the interval [S, T] from the per-tree columns of
-:func:`posets.universe`; the classifiers are its oracles.
-:func:`family_bits` decides them for every lower tree of an upper tree
-at once, with :func:`pair_families` as its oracle.
+Each classifier reads one poset.  :func:`family_bits` decides all four
+for every lower tree of an upper tree at once, from the per-tree columns
+of :func:`posets.universe`; the classifiers are its oracles.
 """
 
 from __future__ import annotations
@@ -120,40 +118,6 @@ def is_new_interval(interval: TamariInterval) -> bool:
     return not shared
 
 
-class Families(NamedTuple):
-    """The family flags of one interval, in the order of the census."""
-
-    exceptional: bool
-    modern: bool
-    new: bool
-    infinitely_modern: bool
-
-
-def pair_families(n: int, lower: int, upper: int) -> Families:
-    """The families of Dec(S) | Inc(T), for S and T the trees of
-    ``enumerate_trees(n)`` at indices ``lower`` and ``upper``, S <= T, from
-    per-tree data alone:
-
-    - exceptional iff no y has b < first_T(a) and last_S(b) < a, for a
-      and b of y in T and in S as in :class:`posets.Universe`: then
-      neither of y's up-covers a and b lies below the other;
-    - modern iff no vertex has a left child in T and a right child in S;
-    - new iff the leaf spans of S and T share only the full one
-      (:func:`is_new_interval`);
-    - infinitely modern iff dr(S) <= ir(T), as in :func:`stat`.
-    """
-    u = universe(n)
-    return Families(
-        exceptional=not any(
-            b < f and last < a
-            for (b, last), (f, a) in zip(u.exc_lower[lower], u.exc_upper[upper])
-        ),
-        modern=not any(l and r for l, r in zip(u.lefts[upper], u.brackets[lower])),
-        new=set(u.spans[lower]).intersection(u.spans[upper]) <= {(1, n + 1)},
-        infinitely_modern=u.dr[lower] <= u.ir[upper],
-    )
-
-
 def _at_most(values: Sequence[int], top: int) -> list[int]:
     """``bits[v]`` for v = 0..top: bit s set iff ``values[s] <= v``.  The
     values must be bytes, 0..255."""
@@ -192,21 +156,28 @@ class FamilyBits(NamedTuple):
     infinitely_modern: int
 
 
-def family_bits(n: int) -> Iterator[FamilyBits]:
-    """The :class:`FamilyBits` of every tree of size ``n``, in the order of
+def family_bits(n: int, uppers: Iterable[int] | None = None) -> Iterator[FamilyBits]:
+    """The :class:`FamilyBits` of the trees of size ``n`` at the indices
+    ``uppers``, in that order, or of every tree in the order of
     ``enumerate_trees(n)``.  Each lower S of T stays its own bit, so every
-    count is still exact, and each family is the per-pair test of
-    :func:`pair_families`, read for all lowers at once:
+    count is still exact, and each family is a test on per-tree data,
+    read for all lowers at once:
 
     - S <= T iff r_i(S) <= r_i(T) for every i (Huang-Tamari 1972), so
       the lowers are the AND over i of ``at_most[i][r_i(T)]``;
-    - S has a right child at v iff r_v(S) > 0, so the modern lowers keep
-      ``at_most[v][0]`` for every v with a left child in T;
-    - the new lowers miss ``spans[span]`` for each of T's leaf spans but
-      the full one;
-    - the exceptional lowers miss, for each y, ``witness[y][f, a]``, the
-      trees with b_y < f and l_y < a, at T's (f, a) = (first_T(a), a);
-    - the infinitely modern lowers have dr(S) <= ir(T).
+    - [S, T] is modern iff no vertex has a left child in T and a right
+      child in S, and S has one at v iff r_v(S) > 0, so the modern lowers
+      keep ``at_most[v][0]`` for every v with a left child in T;
+    - [S, T] is new iff S and T share no leaf span but the full one
+      (:func:`is_new_interval`), so the new lowers miss ``spans[span]``
+      for each of T's other leaf spans;
+    - [S, T] is exceptional iff no y has b < first_T(a) and
+      last_S(b) < a, for a and b of y in T and in S as in
+      :class:`posets.Universe` (such a y has up-covers a and b, neither
+      below the other), so the exceptional lowers miss, for each y,
+      ``witness[y][f, a]``, the trees with b_y < f and l_y < a, at T's
+      (f, a) = (first_T(a), a);
+    - [S, T] is infinitely modern iff dr(S) <= ir(T), as in :func:`stat`.
 
     The bitsets are built here and not kept: each caller reads one size
     once.
@@ -225,7 +196,8 @@ def family_bits(n: int) -> Iterator[FamilyBits]:
                 for f in range(1, y + 1) for a in range(y + 1, n + 1)}
         cell[0, 0] = 0
         witness.append(cell)
-    for upper, (r, left) in enumerate(zip(u.brackets, u.lefts)):
+    for upper in range(len(u.brackets)) if uppers is None else uppers:
+        r, left = u.brackets[upper], u.lefts[upper]
         lowers = reduce(and_, map(getitem, at_most, r))
         modern = reduce(and_, (at_most[v][0] for v, l in enumerate(left) if l), lowers)
         shared = reduce(or_, (spans[s] for s in u.spans[upper] if s != full), 0)
@@ -239,12 +211,6 @@ def family_bits(n: int) -> Iterator[FamilyBits]:
             new=lowers ^ (lowers & shared),
             infinitely_modern=lowers & dr_at_most[u.ir[upper]],
         )
-
-
-def is_new_pair(n: int, lower: int, upper: int) -> bool:
-    """:func:`is_new_interval` of the interval between the trees of
-    ``enumerate_trees(n)`` at indices ``lower`` and ``upper``."""
-    return pair_families(n, lower, upper).new
 
 
 def nice_shape(interval: TamariInterval) -> tuple[Tree, Tree] | None:

@@ -36,23 +36,22 @@ from .posets import (
     InvalidIntervalPoset,
     from_interval,
     poset_to_json,
-    poset_to_obj,
     relation_from_obj,
     stream_interval_json,
-    stream_interval_posets,
     to_interval,
+    universe,
     validate,
 )
 from .trees import TamariInterval, tree_from_obj, tree_to_obj
 
 FAMILIES = ("all", "exceptional", "modern", "new", "infmodern", "nct", "ncp")
 
-POSET_FILTERS = {
-    "all": lambda p: True,
-    "exceptional": classify.is_exceptional,
-    "modern": classify.is_modern,
-    "new": classify.is_new_ip,
-    "infmodern": classify.is_infinitely_modern,
+# the classify.FamilyBits field that each poset family of enumerate reads
+FAMILY_FIELDS = {
+    "exceptional": "exceptional",
+    "modern": "modern",
+    "new": "new",
+    "infmodern": "infinitely_modern",
 }
 
 
@@ -84,6 +83,13 @@ def _check_bound(n: int, bound: int) -> None:
         raise UsageError(f"size {n} exceeds bound {bound} (raise with --bound)")
 
 
+def _kept_ends(n: int, field: str):
+    """Per upper tree, in the order of :func:`stream_interval_json`, the
+    line ends that keep the lowers in its ``field`` bitset."""
+    for bits in classify.family_bits(n, universe(n).by_inc):
+        yield lambda lower, kept=getattr(bits, field): "}\n" if kept >> lower & 1 else None
+
+
 def cmd_enumerate(args, out) -> int:
     _check_bound(args.size, args.bound)
     count = 0
@@ -95,46 +101,65 @@ def cmd_enumerate(args, out) -> int:
         for p in enumerate_ncp(args.size):
             print(ncp_to_json(p), file=out)
             count += 1
-    elif args.family == "all":
-        for lines, text in stream_interval_json(args.size):
+    else:
+        ends = None
+        if args.family != "all":
+            ends = _kept_ends(args.size, FAMILY_FIELDS[args.family])
+        for lines, text in stream_interval_json(args.size, ends):
             out.write(text)
             count += lines
-    else:
-        keep = POSET_FILTERS[args.family]
-        for p, line in stream_interval_posets(args.size):
-            if keep(p):
-                print(line, file=out)
-                count += 1
     print(json.dumps({"count": count}), file=out)
     return 0
 
 
-def _classes(p: IntervalPoset) -> dict:
-    """The classification fields of a ``classify`` record; one ``stat``."""
-    s = classify.stat(p)
-    return {
-        "exceptional": classify.is_exceptional(p),
-        "modern": classify.is_modern(p),
-        "new": classify.is_new_ip(p),
-        "infinitely_modern": s.dr <= s.ir,  # as classify.is_infinitely_modern
-        "ir": s.ir,
-        "dr": s.dr,
-    }
+_BOOL = ("false", "true")
+
+
+def _class_fields(exceptional, modern, new, infinitely_modern, ir, dr) -> str:
+    """The text that closes a ``classify`` record after its poset's pairs,
+    as :func:`json.dumps` writes it; the flags are bools or bits."""
+    return (
+        f', "exceptional": {_BOOL[exceptional]}, "modern": {_BOOL[modern]}, '
+        f'"new": {_BOOL[new]}, "infinitely_modern": {_BOOL[infinitely_modern]}, '
+        f'"ir": {ir}, "dr": {dr}}}\n'
+    )
+
+
+def _class_ends(n: int):
+    """Per upper tree, in the order of :func:`stream_interval_json`, the
+    line ends that close each interval's ``classify`` record: the family
+    flags are bits of its :class:`classify.FamilyBits`, ir that of the
+    upper tree and dr that of the lower tree."""
+    u = universe(n)
+    for bits in classify.family_bits(n, u.by_inc):
+        yield lambda lower, bits=bits, ir=u.ir[bits.upper]: _class_fields(
+            bits.exceptional >> lower & 1,
+            bits.modern >> lower & 1,
+            bits.new >> lower & 1,
+            bits.infinitely_modern >> lower & 1,
+            ir,
+            u.dr[lower],
+        )
 
 
 def cmd_classify(args, out) -> int:
     if args.poset is not None:
         p = _parse_source("poset", args.poset)
-        record = poset_to_obj(p)
-        record.update(_classes(p))
-        print(json.dumps(record), file=out)
+        s = classify.stat(p)
+        out.write(poset_to_json(p)[:-1] + _class_fields(
+            classify.is_exceptional(p),
+            classify.is_modern(p),
+            classify.is_new_ip(p),
+            s.dr <= s.ir,  # as classify.is_infinitely_modern
+            s.ir,
+            s.dr,
+        ))
         return 0
     if args.size is None:
         raise UsageError("classify needs --size or --poset")
     _check_bound(args.size, args.bound)
-    # each streamed line is the record's poset part: open it to append
-    for p, line in stream_interval_posets(args.size):
-        print(line[:-1] + ", " + json.dumps(_classes(p))[1:], file=out)
+    for _, text in stream_interval_json(args.size, _class_ends(args.size)):
+        out.write(text)
     return 0
 
 
@@ -270,7 +295,10 @@ def cmd_convert(args, out) -> int:
 
 def cmd_census(args, out) -> int:
     _check_bound(args.max_size, args.bound)
-    rows = [census.census(n, bound=args.bound) for n in range(1, args.max_size + 1)]
+    rows = []
+    for n in range(1, args.max_size + 1):
+        rows.append(census.census(n, bound=args.bound))
+        universe.cache_clear()  # census(n) reads universe(n) alone
     if args.format == "json":
         for row in rows:
             record = {"size": row.n, "counts": row.counts()}

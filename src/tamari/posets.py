@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import accumulate, repeat
 from operator import add, le, or_, sub
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .trees import (
     BinaryTree,
@@ -519,33 +519,33 @@ def enumerate_interval_posets(n: int) -> list[IntervalPoset]:
     return list(universe(n).posets)
 
 
-def stream_interval_posets(n: int) -> Iterator[tuple[IntervalPoset, str]]:
-    """Each interval-poset of size n with its :func:`poset_to_json` line,
-    lazily and in the order of :func:`enumerate_interval_posets`.  A line
-    is joined from the JSON of the upper tree's Inc pairs and the lower
-    tree's Dec pairs; no list of posets is held."""
+def stream_interval_json(
+    n: int, ends: Iterable[Callable[[int], str | None]] | None = None
+) -> Iterator[tuple[int, str]]:
+    """The :func:`poset_to_json` lines of the interval-posets of size n, in
+    the order of :func:`enumerate_interval_posets`, without building a
+    poset: per upper tree, the number of its lines and their text, each
+    line ending in a newline.  A line is joined from the JSON of the upper
+    tree's Inc pairs and the lower tree's Dec pairs.
+
+    ``ends``, if given, holds one function per upper tree, in the order of
+    ``universe(n).by_inc``.  It maps each lower tree to the text that
+    closes that line after its Dec pairs, newline included, or to ``None``
+    to drop it.
+    """
     u = universe(n)
     head = f'{{"size": {n}, "inc": '
-    return (
-        (
-            _interval_poset(u, lower, upper),
-            head + u.inc_json[upper] + ', "dec": ' + u.dec_json[lower] + "}",
-        )
-        for upper, lowers in _interval_pairs(u)
-        for lower in lowers
-    )
-
-
-def stream_interval_json(n: int) -> Iterator[tuple[int, str]]:
-    """The lines of :func:`stream_interval_posets` without building a
-    poset: per upper tree, the number of its intervals and their lines as
-    one text, each line ending in a newline."""
-    u = universe(n)
-    head = f'{{"size": {n}, "inc": '
-    tails = [', "dec": ' + dec + "}\n" for dec in u.dec_json]
-    for upper, lowers in _interval_pairs(u):
+    if ends is None:
+        tails = [', "dec": ' + dec + "}\n" for dec in u.dec_json]
+        for upper, lowers in _interval_pairs(u):
+            start = head + u.inc_json[upper]
+            yield len(lowers), start + start.join(map(tails.__getitem__, lowers))
+        return
+    decs = [', "dec": ' + dec for dec in u.dec_json]
+    for (upper, lowers), end in zip(_interval_pairs(u), ends, strict=True):
+        kept = [decs[lower] + tail for lower in lowers if (tail := end(lower)) is not None]
         start = head + u.inc_json[upper]
-        yield len(lowers), start + start.join(map(tails.__getitem__, lowers))
+        yield len(kept), start + start.join(kept) if kept else ""
 
 
 def mirror_poset(p: IntervalPoset) -> IntervalPoset:

@@ -97,9 +97,10 @@ def _check_exceptional(max_size: int) -> str:
 def _check_new(max_size: int) -> str:
     for n in range(2, min(max_size, NEW_CAP) + 1):
         u = universe(n)
+        new = [bits.new for bits in classify.family_bits(n)]
         count = 0
         for p, lower, upper in zip(u.posets, u.lowers, u.uppers):
-            by_tree = classify.is_new_pair(n, lower, upper)
+            by_tree = new[upper] >> lower & 1
             by_poset = classify.is_new_ip(p)
             if by_tree != by_poset:
                 return (

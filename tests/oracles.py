@@ -10,17 +10,21 @@ shape of a rise, the tree mirror for ``mirror_poset``, the span-OR loop for
 Bell-number scan for ``enumerate_ncp``, the ``ncp_leq`` pair scan for
 the census's NC-partition interval count, the packed tree-pair scan
 for the bracket-vector generator of ``posets._interval_pairs``, the
-per-pair (ir, dr) loop for the triangle's bitsets, and the three
-per-size caches that the columns of ``posets.universe`` replaced: the
-tables read from ``relation_masks``, the per-tree walk of the
-classifier data, and the packed rise bounds.  Several recurse, which is
-fine on the small trees the tests give them.
+per-pair (ir, dr) loop for the triangle's bitsets, the per-pair family
+tests for ``classify.family_bits``, the poset stream and the poset
+classifiers for the lines of ``enumerate --family`` and ``classify
+--size``, and the three per-size caches that the columns of
+``posets.universe`` replaced: the tables read from ``relation_masks``,
+the per-tree walk of the classifier data, and the packed rise bounds.
+Several recurse, which is fine on the small trees the tests give them.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import json
+from typing import Iterator, NamedTuple
 
+from tamari import classify
 from tamari.census import TriangleB
 from tamari.noncrossing import (
     NoncrossingPartition,
@@ -34,9 +38,12 @@ from tamari.posets import (
     Pair,
     RangeRelation,
     _close,
+    _interval_pairs,
+    _interval_poset,
     _masks,
     _pairs_json,
     _sorted_pairs,
+    poset_to_obj,
     universe,
     validate,
 )
@@ -386,3 +393,92 @@ def triangle_pair_scan(n: int) -> TriangleB:
             key = (dr - 1, n - ir)
             table[key] = table.get(key, 0) + 1
     return TriangleB(n, table)
+
+
+class Families(NamedTuple):
+    """The family flags of one interval, in the order of the census."""
+
+    exceptional: bool
+    modern: bool
+    new: bool
+    infinitely_modern: bool
+
+
+def pair_families(n: int, lower: int, upper: int) -> Families:
+    """The families of Dec(S) | Inc(T), for S and T the trees of
+    ``enumerate_trees(n)`` at indices ``lower`` and ``upper``, S <= T, from
+    per-tree data alone: the per-pair tests that
+    :func:`tamari.classify.family_bits` reads for all lowers at once.
+
+    - exceptional iff no y has b < first_T(a) and last_S(b) < a, for a
+      and b of y in T and in S as in ``posets.Universe``: then neither of
+      y's up-covers a and b lies below the other;
+    - modern iff no vertex has a left child in T and a right child in S;
+    - new iff the leaf spans of S and T share only the full one
+      (``classify.is_new_interval``);
+    - infinitely modern iff dr(S) <= ir(T), as in ``classify.stat``.
+    """
+    u = universe(n)
+    return Families(
+        exceptional=not any(
+            b < f and last < a
+            for (b, last), (f, a) in zip(u.exc_lower[lower], u.exc_upper[upper])
+        ),
+        modern=not any(l and r for l, r in zip(u.lefts[upper], u.brackets[lower])),
+        new=set(u.spans[lower]).intersection(u.spans[upper]) <= {(1, n + 1)},
+        infinitely_modern=u.dr[lower] <= u.ir[upper],
+    )
+
+
+def is_new_pair(n: int, lower: int, upper: int) -> bool:
+    """``classify.is_new_interval`` of the interval between the trees of
+    ``enumerate_trees(n)`` at indices ``lower`` and ``upper``."""
+    return pair_families(n, lower, upper).new
+
+
+# -- the poset stream -----------------------------------------------------------
+
+# the poset classifier behind each family of ``enumerate --family``
+POSET_FILTERS = {
+    "all": lambda p: True,
+    "exceptional": classify.is_exceptional,
+    "modern": classify.is_modern,
+    "new": classify.is_new_ip,
+    "infmodern": classify.is_infinitely_modern,
+}
+
+
+def stream_interval_posets(n: int) -> Iterator[tuple[IntervalPoset, str]]:
+    """Each interval-poset of size n with its ``poset_to_json`` line,
+    lazily and in the order of ``enumerate_interval_posets``: the stream
+    that ``enumerate --family`` and ``classify --size`` read before they
+    wrote their lines from ``classify.family_bits``."""
+    u = universe(n)
+    head = f'{{"size": {n}, "inc": '
+    return (
+        (
+            _interval_poset(u, lower, upper),
+            head + u.inc_json[upper] + ', "dec": ' + u.dec_json[lower] + "}",
+        )
+        for upper, lowers in _interval_pairs(u)
+        for lower in lowers
+    )
+
+
+def poset_classes(p: IntervalPoset) -> dict:
+    """The classification fields of a ``classify`` record, from the poset
+    classifiers."""
+    s = classify.stat(p)
+    return {
+        "exceptional": classify.is_exceptional(p),
+        "modern": classify.is_modern(p),
+        "new": classify.is_new_ip(p),
+        "infinitely_modern": classify.is_infinitely_modern(p),
+        "ir": s.ir,
+        "dr": s.dr,
+    }
+
+
+def classify_record(p: IntervalPoset) -> str:
+    """The ``classify`` record of ``p``, as ``json.dumps`` writes it."""
+    return json.dumps({**poset_to_obj(p), **poset_classes(p)})

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import oracles
 from oracles import avoids_long_crossing
 from tamari import classify
 from tamari.posets import (
@@ -173,7 +174,7 @@ class TestNewPair:
     def test_equals_the_interval_test(self, n):
         u = universe(n)
         for p, lower, upper in zip(u.posets, u.lowers, u.uppers):
-            assert classify.is_new_pair(n, lower, upper) == (
+            assert oracles.is_new_pair(n, lower, upper) == (
                 classify.is_new_interval(to_interval(p))
             )
 
@@ -195,7 +196,7 @@ class TestPairFamilies:
     def test_flags_equal_the_poset_classifiers(self, n):
         u = universe(n)
         for p, lower, upper in zip(u.posets, u.lowers, u.uppers):
-            assert classify.pair_families(n, lower, upper) == (
+            assert oracles.pair_families(n, lower, upper) == (
                 classify.is_exceptional(p),
                 classify.is_modern(p),
                 classify.is_new_ip(p),
@@ -213,7 +214,7 @@ class TestPairFamilies:
 
 class TestFamilyBits:
     """Per upper tree, the lower and family bitsets against the universe's
-    pairs and :func:`classify.pair_families`, bit by bit."""
+    pairs and the per-pair tests of ``oracles.pair_families``, bit by bit."""
 
     @pytest.mark.parametrize(
         "n", [1, 2, 3, 4, 5, 6, 7, 8, pytest.param(9, marks=pytest.mark.slow)]
@@ -223,13 +224,19 @@ class TestFamilyBits:
         want: dict[int, list[int]] = {}
         for lower, upper in zip(u.lowers, u.uppers):
             row = want.setdefault(upper, [0] * 5)
-            for k, held in enumerate((True, *classify.pair_families(n, lower, upper))):
+            for k, held in enumerate((True, *oracles.pair_families(n, lower, upper))):
                 row[k] |= held << lower
         got = {bits.upper: list(bits[1:]) for bits in classify.family_bits(n)}
         assert got == want
 
     def test_uppers_in_tree_order(self):
         assert [bits.upper for bits in classify.family_bits(5)] == list(range(42))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_uppers_in_the_order_given(self, n):
+        order = universe(n).by_inc
+        in_tree_order = list(classify.family_bits(n))
+        assert list(classify.family_bits(n, order)) == [in_tree_order[t] for t in order]
 
 
 def recursive_leaf_spans(t):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tamari
-from tamari import verify
+from tamari import posets, verify
 from tamari.cli import BROKEN_PIPE, main
 from tamari.noncrossing import enumerate_ncp, enumerate_nct, ncp_to_json, nct_to_json
 from tamari.posets import (
@@ -199,6 +199,14 @@ class TestCensus:
     def test_bound(self):
         code, _ = run(["census", "--max-size", "9"])
         assert code == 2
+
+    def test_keeps_no_store_of_a_smaller_size(self):
+        posets.universe.cache_clear()
+        assert run(["census", "--max-size", "5"])[0] == 0
+        misses = posets.universe.cache_info().misses
+        for n in range(1, 5):
+            posets.universe(n)
+        assert posets.universe.cache_info().misses == misses + 4
 
 
 class TestVerify:

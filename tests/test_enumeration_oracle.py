@@ -2,10 +2,11 @@
 
 ``enumerate_interval_posets`` builds each poset as Dec(lower) | Inc(upper)
 without closing or checking it, in sort order without a sort, and the
-``enumerate`` command joins each JSON line from per-tree fragments.  The
-oracle below is the earlier enumeration: every comparable tree pair,
-validated, then sorted on ``IntervalPoset.sort_key``.  Every line the
-command streams is checked against ``poset_to_json`` of its poset.
+``enumerate`` and ``classify`` commands join each JSON line from per-tree
+fragments and the family bits, without building a poset.  The oracle
+below is the earlier enumeration: every comparable tree pair, validated,
+then sorted on ``IntervalPoset.sort_key``.  Every line the commands
+stream is checked against the line the poset classifiers give its poset.
 """
 
 import hashlib
@@ -13,15 +14,20 @@ import io
 
 import pytest
 
-from oracles import CLASSIFIER_COLUMNS
+from oracles import (
+    CLASSIFIER_COLUMNS,
+    POSET_FILTERS,
+    classify_record,
+    stream_interval_posets,
+)
 from tamari import posets
-from tamari.cli import POSET_FILTERS, main
+from tamari.cli import main
 from tamari.posets import (
     IntervalPoset,
     RangeRelation,
     enumerate_interval_posets,
     poset_to_json,
-    stream_interval_posets,
+    stream_interval_json,
     validate,
 )
 from tamari.trees import dec_masks, enumerate_trees, inc_masks, relation_masks
@@ -69,16 +75,31 @@ def test_stream_matches_the_enumeration(n):
 
 def test_stream_rejects_size_zero():
     with pytest.raises(ValueError):
-        stream_interval_posets(0)
+        next(stream_interval_json(0))
 
 
 @pytest.mark.parametrize("family", sorted(POSET_FILTERS))
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_cli_lines_are_poset_to_json(n, family):
     keep = POSET_FILTERS[family]
-    want = [poset_to_json(p) for p in enumerate_interval_posets(n) if keep(p)]
-    lines = cli_lines(["enumerate", "--size", str(n), "--family", family])
+    want = [line for p, line in stream_interval_posets(n) if keep(p)]
+    lines = cli_lines(["--bound", "7", "enumerate", "--size", str(n), "--family", family])
     assert lines == want + [f'{{"count": {len(want)}}}']
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_classify_lines_are_the_poset_records(n):
+    want = [classify_record(p) for p in enumerate_interval_posets(n)]
+    assert cli_lines(["--bound", "7", "classify", "--size", str(n)]) == want
+
+
+def test_an_upper_with_no_kept_lower_writes_nothing():
+    # not a bare head with no newline
+    assert list(stream_interval_json(2, [lambda lower: None] * 2)) == [(0, ""), (0, "")]
+    keep = [lambda lower: "}\n"] * 2
+    assert "".join(text for _, text in stream_interval_json(2, keep)) == "".join(
+        line + "\n" for _, line in stream_interval_posets(2)
+    )
 
 
 def test_cli_lines_at_seven():
@@ -104,10 +125,9 @@ def test_classify_output_hash_at_seven():
 
 
 def test_first_record_is_written_before_the_second_poset_is_built(monkeypatch):
-    # --family all joins its lines from the tree fragments and builds no
-    # poset, so it writes the lines of the first upper tree before the
-    # generator yields the second; a filter reads each poset, so it writes
-    # the first kept line before it builds the next poset
+    # every family and classify join their lines from the tree fragments
+    # and build no poset, so each writes the lines of the first upper tree
+    # before the generator yields the second
     built, uppers = [], []
     trusted, generated = posets._interval_poset, posets._interval_pairs
 
@@ -132,16 +152,16 @@ def test_first_record_is_written_before_the_second_poset_is_built(monkeypatch):
 
     monkeypatch.setattr(posets, "_interval_poset", counting_posets)
     monkeypatch.setattr(posets, "_interval_pairs", counting_uppers)
-    posets.universe.cache_clear()
-    sink = FirstLine()
-    assert main(["enumerate", "--size", "6"], sink) == 0
-    assert sink.seen == (1, 0)
-    assert len(uppers) == 132 and not built
-    # nor does it read a classifier column
-    assert not set(vars(posets.universe(6))) & CLASSIFIER_COLUMNS
-
-    uppers.clear()
-    sink = FirstLine()
-    assert main(["enumerate", "--size", "6", "--family", "modern"], sink) == 0
-    assert sink.seen == (1, 1)
-    assert len(built) == 2530
+    commands = [["enumerate", "--size", "6", "--family", family] for family in POSET_FILTERS]
+    for argv in [*commands, ["classify", "--size", "6"]]:
+        posets.universe.cache_clear()
+        uppers.clear()
+        sink = FirstLine()
+        assert main(argv, sink) == 0
+        assert sink.seen == (1, 0), argv
+        assert len(uppers) == 132 and not built, argv
+        u = posets.universe(6)
+        assert "posets" not in vars(u) and "_pairs" not in vars(u), argv
+        if argv[-1] == "all":
+            # nor does the whole enumeration read a classifier column
+            assert not set(vars(u)) & CLASSIFIER_COLUMNS

@@ -31,7 +31,10 @@ def test_infinitely_modern_check_fails_on_a_wrong_rise_test(monkeypatch):
 
 def test_new_check_names_the_interval_it_fails_on(monkeypatch):
     assert verify._check_new(4) == ""
-    monkeypatch.setattr(classify, "is_new_pair", lambda n, lower, upper: False)
+    family_bits = classify.family_bits
+    monkeypatch.setattr(
+        classify, "family_bits", lambda n: (b._replace(new=0) for b in family_bits(n))
+    )
     assert verify._check_new(4) == "n=2: oracles disagree on [((L L) L), (L (L L))]"
 
 
