@@ -24,23 +24,14 @@ from functools import reduce
 from operator import and_, getitem, or_
 from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
-from .posets import IntervalPoset, Pair, universe
+from .posets import IntervalPoset, Pair, _or_rows, universe
 from .trees import TamariInterval, Tree, dec_masks, mask_pairs, subtree_spans
 
 
 def _cover_masks(p: IntervalPoset) -> list[int]:
     """Up-covers of each vertex: its up-set minus the up-sets above it."""
     up = p.up
-    covers = []
-    for mask in up:
-        implied = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            implied |= up[low.bit_length() - 1]
-            rest ^= low
-        covers.append(mask & ~implied)
-    return covers
+    return [mask & ~_or_rows(up, mask) for mask in up]
 
 
 def hasse(p: IntervalPoset) -> frozenset[Pair]:

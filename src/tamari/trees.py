@@ -8,8 +8,8 @@ labelling), and all relation-producing operations use those labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Optional
 
 Tree = Optional["BinaryTree"]
@@ -197,18 +197,22 @@ class TamariInterval:
     """An interval [lower, upper] of the Tamari lattice.
 
     ``masks`` keeps the relation masks of both bounds, walked once by the
-    order check; it takes no part in equality, hashing or repr.
+    order check, or on first read if the interval was built without it;
+    it takes no part in equality, hashing or repr.
     """
 
     lower: Tree
     upper: Tree
-    masks: tuple[Masks, Masks] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         leq, masks = _compared(self.lower, self.upper)
         if not leq:
             raise ValueError("lower bound is not below upper bound")
-        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "masks", masks)  # the cached property's value
+
+    @cached_property
+    def masks(self) -> tuple[Masks, Masks]:
+        return _compared(self.lower, self.upper)[1]
 
     @property
     def size(self) -> int:

@@ -13,9 +13,14 @@ for the bracket-vector generator of ``posets._interval_pairs``, the
 per-pair (ir, dr) loop for the triangle's bitsets, the per-pair family
 tests for ``classify.family_bits``, the poset stream and the poset
 classifiers for the lines of ``enumerate --family`` and ``classify
---size``, and the three per-size caches that the columns of
-``posets.universe`` replaced: the tables read from ``relation_masks``,
-the per-tree walk of the classifier data, and the packed rise bounds.
+--size``, the three per-size caches that the columns of
+``posets.universe`` replaced (the tables read from ``relation_masks``,
+the per-tree walk of the classifier data, and the packed rise bounds),
+and the single-poset path that the per-pair and per-vertex stages of
+``posets`` replaced: Warshall's closure, the transpose-first axiom check,
+the frozenset reading of a poset's JSON object, ``json.dumps`` of its
+dict (``poset_to_obj``, which left the package) and the order-checked
+``to_interval``.
 Several recurse, which is fine on the small trees the tests give them.
 """
 
@@ -33,23 +38,29 @@ from tamari.noncrossing import (
     ncp_leq,
 )
 from tamari.posets import (
+    MAX_OBJECT_SIZE,
+    IntervalConditionViolated,
     InvalidIntervalPoset,
     IntervalPoset,
+    NotAPoset,
     Pair,
     RangeRelation,
+    _build,
     _close,
     _interval_pairs,
     _interval_poset,
+    _lower_tree,
     _masks,
     _pairs_json,
     _sorted_pairs,
-    poset_to_obj,
+    _upper_tree,
     universe,
     validate,
 )
 from tamari.trees import (
     BinaryTree,
     Masks,
+    TamariInterval,
     Tree,
     dec_masks,
     enumerate_trees,
@@ -83,7 +94,8 @@ def transitive_closure(pairs: frozenset[Pair]) -> frozenset[Pair]:
     """Transitive closure of a relation on positive labels, reflexive pairs
     omitted (a cycle yields both directions of each of its pairs)."""
     n = max((max(pair) for pair in pairs), default=0)
-    return mask_pairs(_close(_masks(n, pairs)))
+    closed = _close(_masks(n, pairs))
+    return mask_pairs(row & ~(1 << i) for i, row in enumerate(closed))
 
 
 def is_valid(rel: RangeRelation) -> bool:
@@ -482,3 +494,123 @@ def poset_classes(p: IntervalPoset) -> dict:
 def classify_record(p: IntervalPoset) -> str:
     """The ``classify`` record of ``p``, as ``json.dumps`` writes it."""
     return json.dumps({**poset_to_obj(p), **poset_classes(p)})
+
+
+# -- the single-poset path ------------------------------------------------------
+#
+# The routines that the per-pair and per-vertex stages of ``posets``
+# replaced: Warshall's closure, the transpose-first axiom check, the
+# frozenset reading of a poset's JSON object, ``json.dumps`` of its dict
+# and the order-checked interval of ``to_interval``.
+
+
+def warshall_close(up: list[int]) -> list[int]:
+    """Warshall's transitive closure of up-set masks, in place; a vertex on
+    a cycle keeps no bit for itself."""
+    n = len(up)
+    for k in range(n):
+        above_k = up[k]
+        if above_k:
+            bit = 1 << k
+            for i in range(n):
+                if up[i] & bit:
+                    up[i] |= above_k
+    for i in range(n):
+        up[i] &= ~(1 << i)
+    return up
+
+
+def bitwise_transpose(up) -> list[int]:
+    """Down-set masks from up-set masks, one bit at a time."""
+    down = [0] * len(up)
+    for i, mask in enumerate(up):
+        bit = 1 << i
+        while mask:
+            low = mask & -mask
+            down[low.bit_length() - 1] |= bit
+            mask ^= low
+    return down
+
+
+def runs_hold(up) -> bool:
+    """The decision of the transpose-first check on closed masks with no
+    bit of a vertex for itself: no 2-cycle, and each y and the elements
+    below it fill a run of consecutive labels."""
+    down = bitwise_transpose(up)
+    if any(above & below for above, below in zip(up, down)):
+        return False
+    for y, below in enumerate(down):
+        run = below | (1 << y)
+        if run & (run + (run & -run)):
+            return False
+    return True
+
+
+def transpose_check_axioms(up) -> None:
+    """Raise on a 2-cycle, smallest x first, then smallest y; then on the
+    first pair x <| y in sorted order with some b strictly between x and y
+    not below y (smallest such b)."""
+    if runs_hold(up):
+        return
+    down = bitwise_transpose(up)
+    for x, (above, below) in enumerate(zip(up, down), 1):
+        both = above & below
+        if both:
+            raise NotAPoset((x, (both & -both).bit_length(), x))
+    for x, mask in enumerate(up, 1):
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            y = low.bit_length()
+            lo, hi = min(x, y), max(x, y)
+            gap = ((1 << (hi - 1)) - (1 << lo)) & ~down[y - 1]
+            if gap:
+                b = (gap & -gap).bit_length()
+                if x < y:
+                    raise IntervalConditionViolated(x, b, y, 1)
+                raise IntervalConditionViolated(y, b, x, 2)
+
+
+def warshall_validate(rel: RangeRelation) -> tuple[int, ...]:
+    """The closed masks of ``rel``, or the exception of the old validation
+    path: Warshall's closure, then the transpose-first check."""
+    closed = warshall_close(list(rel.up))
+    transpose_check_axioms(closed)
+    return tuple(closed)
+
+
+def pairset_relation_from_obj(obj: dict) -> RangeRelation:
+    """A poset's JSON object read as a frozenset of pairs, range-checked in
+    set order, then packed into masks."""
+    if obj["size"] > MAX_OBJECT_SIZE:
+        raise ValueError(f"size {obj['size']} exceeds the limit "
+                         f"{MAX_OBJECT_SIZE} for a single poset")
+    n = obj["size"]
+    pairs = {(a, b) for a, b in obj.get("inc", [])}
+    pairs |= {(b, a) for b, a in obj.get("dec", [])}
+    up = [0] * n
+    for (x, y) in frozenset(pairs):
+        if not (1 <= x <= n and 1 <= y <= n) or x == y:
+            raise ValueError(f"pair ({x},{y}) out of range for size {n}")
+        up[x - 1] |= 1 << (y - 1)
+    return _build(RangeRelation, tuple(up))
+
+
+def poset_to_obj(p: RangeRelation) -> dict:
+    """A poset's JSON object, whose pairs mean first <| second in both lists."""
+    inc, dec = _sorted_pairs(p.up)
+    return {
+        "size": p.n,
+        "inc": [[a, b] for (a, b) in inc],
+        "dec": [[a, b] for (a, b) in dec],
+    }
+
+
+def dumped_json(p: RangeRelation) -> str:
+    """``poset_to_json`` as ``json.dumps`` of ``poset_to_obj``."""
+    return json.dumps(poset_to_obj(p))
+
+
+def checked_to_interval(p: IntervalPoset) -> TamariInterval:
+    """``to_interval`` with the order check of ``TamariInterval``."""
+    return TamariInterval(_lower_tree(dec_masks(p.up)), _upper_tree(inc_masks(p.up)))

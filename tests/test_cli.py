@@ -10,6 +10,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import poset_to_obj
 import tamari
 from tamari import posets, verify
 from tamari.cli import BROKEN_PIPE, main
@@ -19,7 +20,6 @@ from tamari.posets import (
     enumerate_interval_posets,
     poset_from_json,
     poset_to_json,
-    poset_to_obj,
     to_interval,
     tree_poset,
 )
