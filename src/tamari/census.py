@@ -48,6 +48,12 @@ def fuss_catalan(n: int) -> int:
     return num // (2 * n + 1)
 
 
+def _block_keys(r: bytes) -> bytes:
+    """v + r_v for each vertex v, from 0, of the tree with brackets r: the
+    last label of v's right chain, one key per block of its partition."""
+    return bytes(map(add, range(len(r)), r))
+
+
 @dataclass(frozen=True)
 class CensusRow:
     n: int
@@ -126,7 +132,7 @@ def census(n: int, bound: int = DEFAULT_BOUND) -> CensusRow:
         noncrossing_trees=count_nct(n),
         noncrossing_partitions=trees,
         ncp_intervals=sum(
-            prod(map(catalan, Counter(map(add, range(n), r)).values()))
+            prod(map(catalan, Counter(_block_keys(r)).values()))
             for r in posets.universe(n).brackets
         ),
     )

@@ -155,8 +155,6 @@ def cmd_classify(args, out) -> int:
             s.dr,
         ))
         return 0
-    if args.size is None:
-        raise UsageError("classify needs --size or --poset")
     _check_bound(args.size, args.bound)
     for _, text in stream_interval_json(args.size, _class_ends(args.size)):
         out.write(text)
@@ -388,8 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("classify", help="classification flags and (ir, dr)")
-    p.add_argument("--size", type=int)
-    p.add_argument("--poset", help="a single poset as JSON")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--size", type=int)
+    source.add_argument("--poset", help="a single poset as JSON")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("convert", help="apply a bijection between encodings")

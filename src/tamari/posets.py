@@ -14,8 +14,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial, reduce
-from itertools import accumulate, chain, compress, count, repeat
+from functools import cached_property, lru_cache, reduce
+from itertools import accumulate, chain, compress, count
 from operator import add, le, or_, sub
 from typing import Callable, Iterable, Iterator
 
@@ -345,11 +345,10 @@ def _pairs_json(pairs: list[Pair]) -> str:
 
 
 class Universe:
-    """The trees of one size and the intervals between them, as columns
-    indexed like ``enumerate_trees(n)`` (a per-vertex row by label - 1),
-    or by interval in enumeration order (``lowers``, ``uppers``, ``posets``).
-    Each is built on first read: ``census`` builds no JSON, sort order,
-    interval pair or poset, and ``enumerate`` no classifier column."""
+    """The trees of one size as columns indexed like ``enumerate_trees(n)``
+    (a per-vertex row by label - 1), each built on first read: ``census``
+    builds no JSON or sort order, and ``enumerate`` no classifier column.
+    No interval is stored; consumers walk them per upper tree."""
 
     def __init__(self, n: int) -> None:
         if n < 1:
@@ -445,8 +444,9 @@ class Universe:
 
     @cached_property
     def rise_caps(self) -> tuple[bytes, ...]:
-        """cap_j(T) = min(n - j, min over m < j of r_m(T)); see
-        :func:`risefall.all_rises_valid`."""
+        """cap_j(T) = min(n - j, min over m < j of r_m(T)): for S <= T,
+        every rise of Dec(S) | Inc(T) validates iff r_j(S) <= cap_j(T) for
+        every j (derived in the README)."""
         n = self.n
         return tuple(bytes(map(min, range(n - 1, -1, -1), accumulate(r, min, initial=n)))
                      for r in self.brackets)
@@ -470,23 +470,6 @@ class Universe:
     by_dec = property(lambda self: self._orders[1])
     inc_json = property(lambda self: self._orders[2])
     dec_json = property(lambda self: self._orders[3])
-
-    @cached_property
-    def _pairs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        # two flat tuples, not one of pairs: a pair tuple per poset would
-        # cost more than the two index tuples together
-        lowers, uppers = [], []
-        for upper, below in _interval_pairs(self):
-            lowers += below
-            uppers += repeat(upper, len(below))
-        return tuple(lowers), tuple(uppers)
-
-    lowers = property(lambda self: self._pairs[0])
-    uppers = property(lambda self: self._pairs[1])
-
-    @cached_property
-    def posets(self) -> tuple[IntervalPoset, ...]:
-        return tuple(map(partial(_interval_poset, self), self.lowers, self.uppers))
 
 
 universe = lru_cache(maxsize=None)(Universe)  # one per size and process
@@ -556,11 +539,12 @@ def enumerate_interval_posets(n: int) -> list[IntervalPoset]:
     (sorted inc, sorted dec) pair lists.
 
     Generated in that order from every comparable tree pair as
-    Dec(lower) | Inc(upper), with no sort and no validation.  Each size is
-    enumerated once per process, in its :func:`universe`; every call
-    returns a fresh list.
+    Dec(lower) | Inc(upper), with no sort and no validation, from the
+    columns of :func:`universe`; each call builds a fresh list.
     """
-    return list(universe(n).posets)
+    u = universe(n)
+    return [_interval_poset(u, lower, upper)
+            for upper, lowers in _interval_pairs(u) for lower in lowers]
 
 
 def stream_interval_json(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import islice
-from operator import le
 
 from .classify import stat
 from .posets import (
@@ -19,7 +18,6 @@ from .posets import (
     RangeRelation,
     _build,
     _validated,
-    universe,
 )
 from .trees import Masks, dec_masks, inc_masks
 
@@ -107,22 +105,6 @@ def iterated_rise_valid(p: IntervalPoset, k_max: int | None = None) -> bool:
         except InvalidIntervalPoset:
             return False
     return True
-
-
-def all_rises_valid(n: int, lower: int, upper: int) -> bool:
-    """:func:`iterated_rise_valid` on the poset Dec(S) | Inc(T) of trees
-    S <= T, given by their indices in ``enumerate_trees(n)``.
-
-    The k-th rise is Dec(S (+)' k) | Inc(k (+) T): S (+)' k puts vertices
-    n+1..n+k above S as a left chain, and k (+) T puts the right chain
-    1..k above T relabelled by +k.  By Chatel-Pons it validates iff Dec(S)
-    lies in Dec(k (+) T) on labels 1..n, where vertex j has the down-set
-    [j + 1, n] for j <= k and [j + 1, j + min(n - j, r_{j-k}(T))] for
-    j > k.  So all n + 1 rises validate iff r_j(S) <= cap_j(T) =
-    min(n - j, min over m < j of r_m(T)) for every j (``rise_caps``).
-    """
-    u = universe(n)
-    return all(map(le, u.brackets[lower], u.rise_caps[upper]))
 
 
 def insert_fik(p: IntervalPoset, i: int, k: int) -> IntervalPoset:

@@ -1,25 +1,31 @@
 """Cross-check runner: every closed-form count and bijection round trip,
-exercised exhaustively up to a size bound.  This is the engine behind
-``tamari verify`` and the acceptance suite."""
+and each of the paper's results as one equality of two bitsets per upper
+tree, exercised exhaustively up to a size bound.  This is the engine
+behind ``tamari verify`` and the acceptance suite."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
+from operator import and_, getitem, or_
 from typing import Callable, Iterator
 
 from . import census, classify, risefall
+from .census import _block_keys, catalan
+from .classify import _at_most, _holding
 from .noncrossing import (
     enumerate_ncp,
     enumerate_nct,
-    ncp_interval_to_ip,
-    ncp_leq,
     nct_to_poset,
     partition_of_tree,
     poset_to_nct,
     tree_of_partition,
 )
 from .posets import (
+    _interval_poset,
     _lower_tree,
+    _ones,
     _upper_tree,
     enumerate_interval_posets,
     interval_members,
@@ -29,30 +35,18 @@ from .posets import (
     universe,
     validate,
 )
-from .trees import enumerate_trees, tamari_leq, tree_to_text
+from .trees import dec_masks, enumerate_trees, inc_masks, tree_to_text
 
-# Golden count sequences, indexed from size 1.
-GOLDEN = {
-    "intervals": [1, 3, 13, 68, 399, 2530],
-    "exceptional": [1, 3, 12, 55, 273],
-    "infinitely_modern": [1, 3, 12, 55, 273],
-    "new": [1, 1, 3, 12, 56],  # n = 1 from enumeration; formula needs n >= 2
-    "modern": [1, 3, 12, 56],
-}
-
-# Size caps: a check with a cap covers n <= min(max_size, cap); the other
-# checks cover every n up to max_size.  Caps only go up.
-EXCEPTIONAL_CAP = 5  # the NC-partition image scans every partition pair
-NEW_CAP = 5  # where GOLDEN["new"] ends; both tests are cheap masks
-MODERN_SHIFT_CAP = 4  # relates size n to size n + 1
+# Size caps: a part of a check with a cap covers n <= min(max_size, cap);
+# the counts, the three per-upper equalities, the triangle and the tree
+# round trips cover every n up to max_size.  Caps only go up.
+DEFINITIONS_CAP = 5  # builds every poset; tier-1 tests go to n = 7
+EXCEPTIONAL_CAP = 5  # lists the noncrossing trees
+MODERN_SHIFT_CAP = 4  # rises every modern poset of size n
 INSERT_REMOVE_CAP = 4  # relates size n to size n + 1
 NCT_ROUND_TRIP_CAP = 4
 PARTITION_ROUND_TRIP_CAP = 5
-REFINEMENT_SIZE = 4  # refinement -> Tamari order, checked at this size only
 LINEAR_EXTENSIONS_CAP = 4  # extensions grow like n!
-# Two checks compare with GOLDEN, and stop where their table does.
-INTERVALS_GOLDEN_CAP = len(GOLDEN["intervals"])
-INFINITELY_MODERN_GOLDEN_CAP = len(GOLDEN["infinitely_modern"])
 
 
 @dataclass(frozen=True)
@@ -62,99 +56,104 @@ class CheckResult:
     detail: str = ""
 
 
-def _check_interval_counts(max_size: int) -> str:
-    for n in range(1, min(max_size, INTERVALS_GOLDEN_CAP) + 1):
-        got = len(enumerate_interval_posets(n))
-        want = GOLDEN["intervals"][n - 1]
-        formula = census.formula_intervals(n)
-        if not got == want == formula:
-            return f"n={n}: enumerated {got}, golden {want}, formula {formula}"
+def _definitions(max_size: int, family: str, classifier: Callable) -> str:
+    """The first interval of size n <= min(max_size, DEFINITIONS_CAP) whose
+    ``family`` bit in :func:`classify.family_bits` differs from
+    ``classifier``, the paper's definition on posets, as a failure detail."""
+    for n in range(1, min(max_size, DEFINITIONS_CAP) + 1):
+        u = universe(n)
+        for bits in classify.family_bits(n):
+            for lower in _ones(bits.lowers):
+                p = _interval_poset(u, lower, bits.upper)
+                if getattr(bits, family) >> lower & 1 != classifier(p):
+                    return (f"n={n}: {family} bits and {classifier.__name__} disagree on "
+                            f"[{tree_to_text(u.trees[lower])}, {tree_to_text(u.trees[bits.upper])}]")
     return ""
+
+
+def _check_interval_counts(max_size: int) -> str:
+    for n in range(1, max_size + 1):
+        try:
+            census.census(n, bound=n)
+        except AssertionError as exc:
+            return str(exc)
+    return ""
+
+
+def _pairs(keys: bytes, same: bool) -> list[tuple[int, int]]:
+    """The vertex pairs i < j in one block if ``same``, else in two."""
+    return [(i, j) for i, j in combinations(range(len(keys)), 2)
+            if (keys[i] == keys[j]) is same]
 
 
 def _check_exceptional(max_size: int) -> str:
-    for n in range(1, min(max_size, EXCEPTIONAL_CAP) + 1):
-        posets = enumerate_interval_posets(n)
-        exceptional = {p for p in posets if classify.is_exceptional(p)}
-        want = GOLDEN["exceptional"][n - 1]
-        if len(exceptional) != want or census.fuss_catalan(n) != want:
-            return f"n={n}: {len(exceptional)} exceptional, golden {want}"
-        ncts = enumerate_nct(n)
-        if {nct_to_poset(t) for t in ncts} != exceptional:
-            return f"n={n}: noncrossing-tree image differs from exceptional set"
-        ncps = enumerate_ncp(n)
-        image = {
-            ncp_interval_to_ip(p1, p2)
-            for p1 in ncps
-            for p2 in ncps
-            if ncp_leq(p1, p2)
-        }
-        if image != exceptional:
-            return f"n={n}: NC-partition-interval image differs from exceptional set"
-    return ""
+    # [S, T] is exceptional iff S's partition refines T's: S is in no
+    # same[i, j], the trees with i and j in one block, for i, j in two
+    # blocks of T.  Taken in all trees, so refinement must imply S <= T.
+    for n in range(1, max_size + 1):
+        u = universe(n)
+        keys = list(map(_block_keys, u.brackets))
+        same = _holding(_pairs(k, True) for k in keys)
+        everything = (1 << len(keys)) - 1
+        image = [0] * len(keys)
+        for p in map(nct_to_poset, enumerate_nct(n) if n <= EXCEPTIONAL_CAP else ()):
+            image[u.incs.index(inc_masks(p.up))] |= 1 << u.decs.index(dec_masks(p.up))
+        for bits in classify.family_bits(n):
+            split = reduce(or_, map(same.__getitem__, _pairs(keys[bits.upper], False)), 0)
+            if bits.exceptional != everything ^ (everything & split):
+                return (f"n={n}: exceptional lowers of {tree_to_text(u.trees[bits.upper])} "
+                        "differ from the partitions refining its own")
+            if n <= EXCEPTIONAL_CAP and image[bits.upper] != bits.exceptional:
+                return f"n={n}: noncrossing-tree image differs from exceptional set"
+    return _definitions(max_size, "exceptional", classify.is_exceptional)
 
 
 def _check_new(max_size: int) -> str:
-    for n in range(2, min(max_size, NEW_CAP) + 1):
-        u = universe(n)
-        new = [bits.new for bits in classify.family_bits(n)]
-        count = 0
-        for p, lower, upper in zip(u.posets, u.lowers, u.uppers):
-            by_tree = new[upper] >> lower & 1
-            by_poset = classify.is_new_ip(p)
-            if by_tree != by_poset:
-                return (
-                    f"n={n}: oracles disagree on "
-                    f"[{tree_to_text(u.trees[lower])}, {tree_to_text(u.trees[upper])}]"
-                )
-            count += by_tree
-        want = GOLDEN["new"][n - 1]
-        if count != want or census.formula_new(n) != want:
-            return f"n={n}: {count} new intervals, golden {want}"
-    return ""
+    return _definitions(max_size, "new", classify.is_new_ip)
 
 
 def _check_modern_shift(max_size: int) -> str:
+    # the C(n - 1) trees with root 1 come first and those with root n last,
+    # each in the order of its one subtree, so the rise [S, T] -> [S/Y, Y\T]
+    # shifts the modern lowers of the k-th upper by C(n) - C(n - 1) bits
+    modern = [1]  # size 0: the one tree, the leaf, is its own modern lower
+    for n in range(1, max_size + 1):
+        shift = catalan(n) - catalan(n - 1)
+        risen, modern = iter(modern), []
+        for bits in classify.family_bits(n):
+            if bits.new != next(risen, 0) << shift:
+                return (f"n={n}: new lowers of {tree_to_text(enumerate_trees(n)[bits.upper])} "
+                        f"are not modern lowers at size {n - 1} shifted by {shift}")
+            if n < max_size:
+                modern.append(bits.modern)
     for n in range(1, min(max_size, MODERN_SHIFT_CAP) + 1):
-        moderns = [p for p in enumerate_interval_posets(n) if classify.is_modern(p)]
-        if len(moderns) != GOLDEN["modern"][n - 1]:
-            return f"n={n}: {len(moderns)} modern, golden {GOLDEN['modern'][n-1]}"
-        news = {
-            p for p in enumerate_interval_posets(n + 1) if classify.is_new_ip(p)
-        }
+        news = {p for p in enumerate_interval_posets(n + 1) if classify.is_new_ip(p)}
         risen = set()
-        for p in moderns:
+        for p in filter(classify.is_modern, enumerate_interval_posets(n)):
             q = validate(risefall.rise(p))
             if validate(risefall.fall(q)) != p:
                 return f"n={n}: fall(rise(P)) != P for P = {sorted(p.relations)}"
             risen.add(q)
-            interval = to_interval(q)
-            shape = classify.nice_shape(interval)
-            if shape is None:
-                return f"n={n}: rise of a modern poset lacks the grafted shape"
-            s1, t1 = shape
             sub = to_interval(p)
-            if (s1, t1) != (sub.lower, sub.upper):
-                return f"n={n}: grafted shape does not match to_interval(P)"
+            if classify.nice_shape(to_interval(q)) != (sub.lower, sub.upper):
+                return f"n={n}: rise of P lacks the shape grafted from to_interval(P)"
         if risen != news:
             return f"n={n}: rise image differs from the new posets of size {n+1}"
-    return ""
+    return _definitions(max_size, "modern", classify.is_modern)
 
 
 def _check_infinitely_modern(max_size: int) -> str:
+    # every rise of [S, T] validates iff r_j(S) <= cap_j(T) for every j
+    # (Universe.rise_caps), and [S, T] is infinitely modern iff dr(S) <= ir(T)
     for n in range(1, max_size + 1):
         u = universe(n)
-        count = 0
-        for p, lower, upper in zip(u.posets, u.lowers, u.uppers):
-            by_stat = classify.is_infinitely_modern(p)
-            by_rise = risefall.all_rises_valid(n, lower, upper)
-            if by_stat != by_rise:
-                return f"n={n}: stat and iterated-rise oracles disagree"
-            count += by_stat
-        golden = GOLDEN["infinitely_modern"]
-        if n <= INFINITELY_MODERN_GOLDEN_CAP and count != golden[n - 1]:
-            return f"n={n}: {count} infinitely modern, golden wrong"
-    return ""
+        at_most = [_at_most(column, n - 1 - j) for j, column in enumerate(zip(*u.brackets))]
+        for bits in classify.family_bits(n):
+            risen = reduce(and_, map(getitem, at_most, u.rise_caps[bits.upper]), bits.lowers)
+            if risen != bits.infinitely_modern:
+                return (f"n={n}: lowers of {tree_to_text(u.trees[bits.upper])} whose rises "
+                        "all validate differ from those with dr <= ir")
+    return _definitions(max_size, "infinitely_modern", classify.is_infinitely_modern)
 
 
 def _check_triangle(max_size: int) -> str:
@@ -208,20 +207,18 @@ def _check_roundtrips(max_size: int) -> str:
             if poset_to_nct(nct_to_poset(t)) != t:
                 return f"n={n}: noncrossing-tree round trip fails"
     for n in range(1, min(max_size, PARTITION_ROUND_TRIP_CAP) + 1):
-        for t in enumerate_trees(n):
-            if tree_of_partition(partition_of_tree(t)) != t:
+        u = universe(n)
+        for t, r in zip(u.trees, u.brackets):
+            pi = partition_of_tree(t)
+            if tree_of_partition(pi) != t:
                 return f"n={n}: partition round trip fails"
+            keys = _block_keys(r)  # as census and the exceptional check read them
+            if pi.blocks != tuple(sorted({tuple(v + 1 for v in range(n) if keys[v] == key)
+                                          for key in keys})):
+                return f"n={n}: blocks of {tree_to_text(t)} are not keyed by v + r_v"
         for pi in enumerate_ncp(n):
             if partition_of_tree(tree_of_partition(pi)) != pi:
                 return f"n={n}: partition round trip fails (partition side)"
-    if max_size >= REFINEMENT_SIZE:
-        ncps = enumerate_ncp(REFINEMENT_SIZE)
-        for p1 in ncps:
-            for p2 in ncps:
-                if ncp_leq(p1, p2) and not tamari_leq(
-                    tree_of_partition(p1), tree_of_partition(p2)
-                ):
-                    return "refinement order is not carried to the Tamari order"
     return ""
 
 

@@ -209,9 +209,8 @@ def tree_from_text(text: str) -> Tree:
 # -- per-tree tables ------------------------------------------------------------
 
 # the columns of ``posets.universe`` that only enumeration reads (JSON
-# fragments, sort orders, interval pairs and posets), and those that only
-# the classifiers read
-ENUMERATION_COLUMNS = {"_orders", "_pairs", "posets"}
+# fragments and sort orders), and those that only the classifiers read
+ENUMERATION_COLUMNS = {"_orders"}
 CLASSIFIER_COLUMNS = {"ir", "dr", "exc_lower", "exc_upper", "spans", "rise_caps"}
 
 
@@ -392,14 +391,23 @@ def ncp_interval_scan(n: int) -> int:
     return sum(ncp_leq(p1, p2) for p1 in ncps for p2 in ncps)
 
 
+def posets_with_trees(n: int) -> Iterator[tuple[IntervalPoset, int, int]]:
+    """Each interval-poset of size n with the indices in
+    ``enumerate_trees(n)`` of its lower and its upper tree, in the order of
+    ``enumerate_interval_posets``."""
+    u = universe(n)
+    for upper, lowers in _interval_pairs(u):
+        for lower in lowers:
+            yield _interval_poset(u, lower, upper), lower, upper
+
+
 def triangle_pair_scan(n: int) -> TriangleB:
     """:func:`tamari.census.triangle_by_statistic` as one pass over the
     universe's tree pairs, dr of each lower tree and ir of each upper tree:
     the loop that the per-upper bitsets replaced."""
-    u = universe(n)
     data = walked_tree_data(n)
     table: dict[tuple[int, int], int] = {}
-    for lower, upper in zip(u.lowers, u.uppers):
+    for _, lower, upper in posets_with_trees(n):
         dr, ir = data.dr[lower], data.ir[upper]
         if dr <= ir:
             key = (dr - 1, n - ir)

@@ -3,7 +3,7 @@ import math
 import pytest
 
 import oracles
-from oracles import avoids_long_crossing
+from oracles import avoids_long_crossing, posets_with_trees
 from tamari import classify
 from tamari.posets import (
     enumerate_interval_posets,
@@ -172,8 +172,7 @@ class TestNewPair:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_equals_the_interval_test(self, n):
-        u = universe(n)
-        for p, lower, upper in zip(u.posets, u.lowers, u.uppers):
+        for p, lower, upper in posets_with_trees(n):
             assert oracles.is_new_pair(n, lower, upper) == (
                 classify.is_new_interval(to_interval(p))
             )
@@ -194,8 +193,7 @@ class TestPairFamilies:
         "n", [1, 2, 3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)]
     )
     def test_flags_equal_the_poset_classifiers(self, n):
-        u = universe(n)
-        for p, lower, upper in zip(u.posets, u.lowers, u.uppers):
+        for p, lower, upper in posets_with_trees(n):
             assert oracles.pair_families(n, lower, upper) == (
                 classify.is_exceptional(p),
                 classify.is_modern(p),
@@ -206,7 +204,7 @@ class TestPairFamilies:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_per_tree_statistic_equals_stat(self, n):
         u = universe(n)
-        for p, lower, upper in zip(u.posets, u.lowers, u.uppers):
+        for p, lower, upper in posets_with_trees(n):
             assert classify.stat(p) == classify.StatPair(
                 ir=u.ir[upper], dr=u.dr[lower]
             )
@@ -220,9 +218,8 @@ class TestFamilyBits:
         "n", [1, 2, 3, 4, 5, 6, 7, 8, pytest.param(9, marks=pytest.mark.slow)]
     )
     def test_bits_equal_the_pair_tests(self, n):
-        u = universe(n)
         want: dict[int, list[int]] = {}
-        for lower, upper in zip(u.lowers, u.uppers):
+        for _, lower, upper in posets_with_trees(n):
             row = want.setdefault(upper, [0] * 5)
             for k, held in enumerate((True, *oracles.pair_families(n, lower, upper))):
                 row[k] |= held << lower

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import poset_to_obj
 import tamari
-from tamari import posets, verify
+from tamari import census, posets
 from tamari.cli import BROKEN_PIPE, main
 from tamari.noncrossing import enumerate_ncp, enumerate_nct, ncp_to_json, nct_to_json
 from tamari.posets import (
@@ -96,6 +96,10 @@ class TestClassify:
     def test_needs_an_argument(self):
         code, _ = run(["classify"])
         assert code == 2
+
+    def test_size_and_poset_together_are_refused(self):
+        code, text = run(["classify", "--size", "2", "--poset", '{"size":1}'])
+        assert code == 2 and text == ""
 
 
 class TestConvert:
@@ -218,13 +222,16 @@ class TestVerify:
         assert all(line.startswith("PASS ") for line in lines)
 
     def test_fault_injection(self, monkeypatch):
-        broken = dict(verify.GOLDEN)
-        broken["exceptional"] = [1, 3, 11, 55, 273]
-        monkeypatch.setattr(verify, "GOLDEN", broken)
+        # a wrong closed formula for one family fails the count check alone
+        formula_new = census.formula_new
+        monkeypatch.setattr(census, "formula_new", lambda n: formula_new(n) + 1)
         code, text = run(["verify", "--max-size", "3"])
         assert code == 1
         (fail,) = [l for l in text.splitlines() if l.startswith("FAIL")]
-        assert "exceptional" in fail
+        assert fail == (
+            "FAIL interval counts: census mismatch at n=2, family new: "
+            "enumerated 1, formula 2"
+        )
 
 
 class TestExport:

@@ -13,6 +13,7 @@ from oracles import (
     mirror,
     packed_caps,
     packed_rise_bounds,
+    posets_with_trees,
     relation_mask_tables,
     transitive_closure,
     walked_tree_data,
@@ -213,17 +214,16 @@ class TestUniverse:
     def test_pairs_index_the_trees_of_each_poset(self, n):
         u = universe(n)
         assert u.trees == enumerate_trees(n)
-        assert len(u.lowers) == len(u.uppers) == len(u.posets) == interval_count_formula(n)
-        for p, lower, upper in zip(u.posets, u.lowers, u.uppers):
+        listed = list(posets_with_trees(n))
+        assert [p for p, _, _ in listed] == enumerate_interval_posets(n)
+        assert len(listed) == interval_count_formula(n)
+        for p, lower, upper in listed:
             low, high = relation_masks(u.trees[lower]), relation_masks(u.trees[upper])
             assert p.up == tuple(a | b for a, b in zip(dec_masks(low), inc_masks(high)))
 
     def test_one_cache_per_size(self):
         u = universe(4)
         assert universe(4) is u
-        listed = enumerate_interval_posets(4)
-        assert all(a is b for a, b in zip(listed, u.posets))
-        assert len(listed) == len(u.posets)
 
     def test_size_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -237,9 +237,10 @@ class TestUniverse:
             _lower_tree(dec) == t and _upper_tree(inc) == t
             for t, dec, inc in zip(u.trees, u.decs, u.incs)
         )
-        per_poset = all(from_interval(to_interval(p)) == p for p in u.posets)
+        listed = list(posets_with_trees(n))
+        per_poset = all(from_interval(to_interval(p)) == p for p, _, _ in listed)
         assert per_tree and per_poset
-        for p, lower, upper in zip(u.posets, u.lowers, u.uppers):
+        for p, lower, upper in listed:
             assert to_interval(p) == TamariInterval(u.trees[lower], u.trees[upper])
 
 
@@ -277,7 +278,7 @@ class TestLazyUniverse:
         census.census(6)
         assert not built
         assert not set(vars(universe(6))) & ENUMERATION_COLUMNS
-        assert len(universe(6).posets) == len(built) == 2530
+        assert len(enumerate_interval_posets(6)) == len(built) == 2530
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_posets_equal_the_eager_build(self, n):
@@ -286,7 +287,7 @@ class TestLazyUniverse:
             validate(RangeRelation(n, dec_relations(trees[low]) | inc_relations(trees[up])))
             for low, up in interval_pair_scan(relation_mask_tables(n))
         )
-        assert universe(n).posets == eager
+        assert tuple(enumerate_interval_posets(n)) == eager
 
 
 class TestColumns:

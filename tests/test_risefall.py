@@ -1,6 +1,8 @@
+from operator import le
+
 import pytest
 
-from oracles import graft, is_valid, pack, packed_caps
+from oracles import graft, is_valid, pack, packed_caps, posets_with_trees
 from tamari import classify, risefall
 from tamari.posets import (
     RangeRelation,
@@ -207,21 +209,21 @@ def chain_below(s, k):
 
 
 class TestAllRises:
-    """``all_rises_valid`` against the rise-by-rise validation it replaces
-    in ``verify``, and its two statements on trees."""
+    """The rise caps of ``posets.Universe``, that ``verify`` reads, against
+    the rise-by-rise validation, and their two statements on trees."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)])
     def test_equals_iterated_rise_valid(self, n):
         u = universe(n)
-        for p, lower, upper in zip(u.posets, u.lowers, u.uppers):
-            assert risefall.all_rises_valid(n, lower, upper) == (
+        for p, lower, upper in posets_with_trees(n):
+            assert all(map(le, u.brackets[lower], u.rise_caps[upper])) == (
                 risefall.iterated_rise_valid(p)
             )
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_kth_rise_is_the_pair_of_chained_trees(self, n):
         u = universe(n)
-        for p, lower, upper in zip(u.posets, u.lowers, u.uppers):
+        for p, lower, upper in posets_with_trees(n):
             s, t = u.trees[lower], u.trees[upper]
             for k in range(1, n + 2):
                 low = relation_masks(chain_below(s, k))

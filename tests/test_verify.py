@@ -5,7 +5,9 @@ output of ``verify`` and ``census`` at size 6 keeps its bytes."""
 import hashlib
 import io
 
-from tamari import classify, posets, risefall, verify
+import pytest
+
+from tamari import census, classify, posets, verify
 from tamari.cli import main
 
 
@@ -21,11 +23,27 @@ def test_round_trip_check_fails_on_the_wrong_tree_rebuild(monkeypatch):
     assert verify._check_roundtrips(4).startswith("n=2: interval round trip fails at ")
 
 
+def test_round_trip_check_fails_on_blocks_not_keyed_by_v_plus_r_v(monkeypatch):
+    # the key of the next label: vertex v's right child, when it has one
+    monkeypatch.setattr(verify, "_block_keys", lambda r: census._block_keys(r)[1:] + b"\0")
+    assert verify._check_roundtrips(4) == (
+        "n=2: blocks of (L (L L)) are not keyed by v + r_v"
+    )
+
+
 def test_infinitely_modern_check_fails_on_a_wrong_rise_test(monkeypatch):
+    # a rise cap raised by 1: vertex 2's, wherever it is below its top n - 2
     assert verify._check_infinitely_modern(4) == ""
-    monkeypatch.setattr(risefall, "all_rises_valid", lambda n, lower, upper: True)
+    rise_caps = posets.Universe.rise_caps.func
+
+    def raised(u):
+        return tuple(bytes([c[0], min(c[1] + 1, u.n - 2), *c[2:]]) if u.n > 1 else c
+                     for c in rise_caps(u))
+
+    monkeypatch.setattr(posets.Universe, "rise_caps", property(raised))
     assert verify._check_infinitely_modern(4) == (
-        "n=3: stat and iterated-rise oracles disagree"
+        "n=3: lowers of ((L L) (L L)) whose rises all validate differ from those "
+        "with dr <= ir"
     )
 
 
@@ -35,21 +53,60 @@ def test_new_check_names_the_interval_it_fails_on(monkeypatch):
     monkeypatch.setattr(
         classify, "family_bits", lambda n: (b._replace(new=0) for b in family_bits(n))
     )
-    assert verify._check_new(4) == "n=2: oracles disagree on [((L L) L), (L (L L))]"
+    assert verify._check_new(4) == "n=1: new bits and is_new_ip disagree on [(L L), (L L)]"
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_modern_shift_check_fails_on_a_shift_off_by_one(monkeypatch, delta):
+    # C(n) - C(n - 1) + delta at n = 2, the first size that shifts
+    assert verify._check_modern_shift(4) == ""
+    monkeypatch.setattr(verify, "catalan", lambda n: census.catalan(n) + delta * (n == 2))
+    assert verify._check_modern_shift(4) == (
+        f"n=2: new lowers of (L (L L)) are not modern lowers at size 1 shifted by {1 + delta}"
+    )
+
+
+def test_exceptional_check_fails_on_upper_block_keys_one_label_off(monkeypatch):
+    # the upper tree's vertex v takes the block key of label v + 1; the
+    # lower trees keep theirs.  (v + r_v + 1 at every vertex would group
+    # the labels as v + r_v does.)
+    assert verify._check_exceptional(4) == ""
+    pairs = verify._pairs
+    monkeypatch.setattr(
+        verify, "_pairs", lambda keys, same: pairs(keys if same else keys[1:] + keys[-1:], same)
+    )
+    assert verify._check_exceptional(4) == (
+        "n=2: exceptional lowers of ((L L) L) differ from the partitions refining its own"
+    )
+
+
+def test_definitions_cover_every_family(monkeypatch):
+    checked = []
+
+    def definitions(max_size, family, classifier):
+        checked.append((family, classifier))
+        return ""
+
+    monkeypatch.setattr(verify, "_definitions", definitions)
+    for _, check in verify.CHECKS:
+        check(2)
+    assert checked == [
+        ("exceptional", classify.is_exceptional),
+        ("new", classify.is_new_ip),
+        ("modern", classify.is_modern),
+        ("infinitely_modern", classify.is_infinitely_modern),
+    ]
 
 
 def test_caps_only_go_up():
     floors = {
+        "DEFINITIONS_CAP": 5,
         "EXCEPTIONAL_CAP": 5,
-        "NEW_CAP": 5,
         "MODERN_SHIFT_CAP": 4,
         "INSERT_REMOVE_CAP": 4,
         "NCT_ROUND_TRIP_CAP": 4,
         "PARTITION_ROUND_TRIP_CAP": 5,
-        "REFINEMENT_SIZE": 4,
         "LINEAR_EXTENSIONS_CAP": 4,
-        "INTERVALS_GOLDEN_CAP": 6,
-        "INFINITELY_MODERN_GOLDEN_CAP": 5,
     }
     assert all(getattr(verify, name) >= floor for name, floor in floors.items())
 
