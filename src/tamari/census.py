@@ -179,7 +179,7 @@ def triangle_by_statistic(n: int) -> TriangleB:
     upper tree T, the infinitely modern lowers with dr = d are the lowers
     of T in ``DR=[d]``, the trees with dr = d, for d <= ir(T)."""
     u = posets.universe(n)
-    at_most = classify._at_most(u.dr, n)
+    at_most = u.dr_at_most
     exactly = [0] + [at_most[d] & ~at_most[d - 1] for d in range(1, n + 1)]
     table: dict[tuple[int, int], int] = {}
     for bits in classify.family_bits(n):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, getitem, or_
-from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .posets import IntervalPoset, Pair, _or_rows, universe
 from .trees import TamariInterval, Tree, dec_masks, mask_pairs, subtree_spans
@@ -109,32 +109,6 @@ def is_new_interval(interval: TamariInterval) -> bool:
     return not shared
 
 
-def _at_most(values: Sequence[int], top: int) -> list[int]:
-    """``bits[v]`` for v = 0..top: bit s set iff ``values[s] <= v``.  The
-    values must be bytes, 0..255."""
-    digits = bytes(reversed(values))  # bit s is the s-th digit from the right
-    return [
-        int(digits.translate(b"1" * (v + 1) + b"0" * (255 - v)), 2)
-        for v in range(top + 1)
-    ]
-
-
-def _holding(rows: Iterable[Iterable[Hashable]]) -> dict:
-    """For each key, the bitset of the rows that hold it: bit s for row s."""
-    members: dict = {}
-    for s, keys in enumerate(rows):
-        for key in keys:
-            members.setdefault(key, []).append(s)
-    count = s + 1
-    bits = {}
-    for key, held in members.items():
-        digits = bytearray(b"0") * count
-        for s in held:
-            digits[-1 - s] = 49  # ord("1")
-        bits[key] = int(digits, 2)
-    return bits
-
-
 class FamilyBits(NamedTuple):
     """The lower trees of one upper tree, all and per family, as bitsets
     over ``enumerate_trees(n)``: bit s stands for the s-th tree."""
@@ -160,38 +134,27 @@ def family_bits(n: int, uppers: Iterable[int] | None = None) -> Iterator[FamilyB
       child in S, and S has one at v iff r_v(S) > 0, so the modern lowers
       keep ``at_most[v][0]`` for every v with a left child in T;
     - [S, T] is new iff S and T share no leaf span but the full one
-      (:func:`is_new_interval`), so the new lowers miss ``spans[span]``
-      for each of T's other leaf spans;
+      (:func:`is_new_interval`), so the new lowers miss
+      ``span_bits[span]`` for each of T's other leaf spans;
     - [S, T] is exceptional iff no y has b < first_T(a) and
       last_S(b) < a, for a and b of y in T and in S as in
       :class:`posets.Universe` (such a y has up-covers a and b, neither
       below the other), so the exceptional lowers miss, for each y,
-      ``witness[y][f, a]``, the trees with b_y < f and l_y < a, at T's
-      (f, a) = (first_T(a), a);
+      ``witness[y - 1][f, a]``, the trees with b_y < f and
+      last_S(b_y) < a, at T's (f, a) = (first_T(a), a);
     - [S, T] is infinitely modern iff dr(S) <= ir(T), as in :func:`stat`.
 
-    The bitsets are built here and not kept: each caller reads one size
-    once.
+    The per-tree bitsets are columns of the universe, built once per
+    size; the per-upper ones are built here and not kept.
     """
     u = universe(n)
-    at_most = [_at_most(column, n - 1 - i) for i, column in enumerate(zip(*u.brackets))]
-    dr_at_most = _at_most(u.dr, n)
-    spans = _holding(u.spans)
+    at_most, dr_at_most, span_bits, witness = u.at_most, u.dr_at_most, u.span_bits, u.witness
     full = (1, n + 1)
-    witness = []
-    for y, pairs in enumerate(zip(*u.exc_lower), 1):
-        b_at_most = _at_most([b for b, _ in pairs], n)
-        last_at_most = _at_most([last for _, last in pairs], n)
-        # an upper tree's (f, a) has f <= y < a, or is (0, 0)
-        cell = {(f, a): b_at_most[f - 1] & last_at_most[a - 1]
-                for f in range(1, y + 1) for a in range(y + 1, n + 1)}
-        cell[0, 0] = 0
-        witness.append(cell)
     for upper in range(len(u.brackets)) if uppers is None else uppers:
         r, left = u.brackets[upper], u.lefts[upper]
         lowers = reduce(and_, map(getitem, at_most, r))
         modern = reduce(and_, (at_most[v][0] for v, l in enumerate(left) if l), lowers)
-        shared = reduce(or_, (spans[s] for s in u.spans[upper] if s != full), 0)
+        shared = reduce(or_, (span_bits[s] for s in u.spans[upper] if s != full), 0)
         crossed = reduce(or_, map(getitem, witness, u.exc_upper[upper]))
         # x ^ (x & y) is x & ~y, without the negative int: about 4x faster
         yield FamilyBits(

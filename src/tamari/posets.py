@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, chain, compress, count
 from operator import add, le, or_, sub
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .trees import (
     BinaryTree,
@@ -344,6 +344,32 @@ def _pairs_json(pairs: list[Pair]) -> str:
     return "[" + ", ".join([f"[{x}, {y}]" for x, y in pairs]) + "]"
 
 
+def _at_most(values: Sequence[int], top: int) -> list[int]:
+    """``bits[v]`` for v = 0..top: bit s set iff ``values[s] <= v``.  The
+    values must be bytes, 0..255."""
+    digits = bytes(reversed(values))  # bit s is the s-th digit from the right
+    return [
+        int(digits.translate(b"1" * (v + 1) + b"0" * (255 - v)), 2)
+        for v in range(top + 1)
+    ]
+
+
+def _holding(rows: Iterable[Iterable[Hashable]]) -> dict:
+    """For each key, the bitset of the rows that hold it: bit s for row s."""
+    members: dict = {}
+    for s, keys in enumerate(rows):
+        for key in keys:
+            members.setdefault(key, []).append(s)
+    count = s + 1
+    bits = {}
+    for key, held in members.items():
+        digits = bytearray(b"0") * count
+        for s in held:
+            digits[-1 - s] = 49  # ord("1")
+        bits[key] = int(digits, 2)
+    return bits
+
+
 class Universe:
     """The trees of one size as columns indexed like ``enumerate_trees(n)``
     (a per-vertex row by label - 1), each built on first read: ``census``
@@ -450,6 +476,40 @@ class Universe:
         n = self.n
         return tuple(bytes(map(min, range(n - 1, -1, -1), accumulate(r, min, initial=n)))
                      for r in self.brackets)
+
+    # Bitsets over the trees, bit s for the s-th tree, that
+    # classify.family_bits reads for every upper tree of the size.
+
+    @cached_property
+    def at_most(self) -> list[list[int]]:
+        """``at_most[i][v]``: the trees with r_{i+1} <= v, v = 0..n - 1 - i."""
+        return [_at_most(column, self.n - 1 - i)
+                for i, column in enumerate(zip(*self.brackets))]
+
+    @cached_property
+    def dr_at_most(self) -> list[int]:
+        """``dr_at_most[d]``: the trees with dr <= d, d = 0..n."""
+        return _at_most(self.dr, self.n)
+
+    @cached_property
+    def span_bits(self) -> dict[Pair, int]:
+        """For each leaf span, the trees that have it."""
+        return _holding(self.spans)
+
+    @cached_property
+    def witness(self) -> list[dict[Pair, int]]:
+        """``witness[y - 1][f, a]``: the trees with b_y < f and
+        last(b_y) < a, at each (f, a) an upper tree can have at y: f <= y < a,
+        or (0, 0), which no tree meets."""
+        n, cells = self.n, []
+        for y, pairs in enumerate(zip(*self.exc_lower), 1):
+            b_at_most = _at_most([b for b, _ in pairs], n)
+            last_at_most = _at_most([last for _, last in pairs], n)
+            cell = {(f, a): b_at_most[f - 1] & last_at_most[a - 1]
+                    for f in range(1, y + 1) for a in range(y + 1, n + 1)}
+            cell[0, 0] = 0
+            cells.append(cell)
+        return cells
 
     @cached_property
     def _orders(self) -> tuple[tuple, tuple, tuple[str, ...], tuple[str, ...]]:

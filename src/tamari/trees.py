@@ -68,20 +68,6 @@ def size(t: Tree) -> int:
     return count
 
 
-def left_comb(n: int) -> Tree:
-    t: Tree = None
-    for _ in range(n):
-        t = BinaryTree(left=t)
-    return t
-
-
-def right_comb(n: int) -> Tree:
-    t: Tree = None
-    for _ in range(n):
-        t = BinaryTree(right=t)
-    return t
-
-
 @lru_cache(maxsize=None)
 def enumerate_trees(n: int) -> tuple[Tree, ...]:
     """All planar binary trees of size ``n``.

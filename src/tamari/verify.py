@@ -6,28 +6,31 @@ behind ``tamari verify`` and the acceptance suite."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import combinations
-from operator import and_, getitem, or_
+from functools import lru_cache, reduce
+from itertools import accumulate, combinations
+from operator import and_, getitem, ne, or_
 from typing import Callable, Iterator
 
 from . import census, classify, risefall
 from .census import _block_keys, catalan
-from .classify import _at_most, _holding
 from .noncrossing import (
+    NoncrossingTree,
+    edge_labels,
     enumerate_ncp,
     enumerate_nct,
+    nct_to_json,
     nct_to_poset,
     partition_of_tree,
     poset_to_nct,
     tree_of_partition,
 )
 from .posets import (
+    IntervalPoset,
+    _holding,
+    _interval_pairs,
     _interval_poset,
     _lower_tree,
-    _ones,
     _upper_tree,
-    enumerate_interval_posets,
     interval_members,
     linear_extensions,
     to_interval,
@@ -35,7 +38,7 @@ from .posets import (
     universe,
     validate,
 )
-from .trees import dec_masks, enumerate_trees, inc_masks, tree_to_text
+from .trees import Masks, dec_masks, enumerate_trees, inc_masks, tree_to_text
 
 # Size caps: a part of a check with a cap covers n <= min(max_size, cap);
 # the counts, the three per-upper equalities, the triangle and the tree
@@ -56,18 +59,31 @@ class CheckResult:
     detail: str = ""
 
 
+@lru_cache(maxsize=None)
+def _capped(n: int) -> tuple[tuple[int, int, IntervalPoset], ...]:
+    """(lower, upper, poset) for every interval of size n, as tree indices,
+    in the order of ``enumerate_interval_posets(n)``: the one store of
+    posets that the capped parts of the checks read, built on first read."""
+    u = universe(n)
+    return tuple((lower, upper, _interval_poset(u, lower, upper))
+                 for upper, lowers in _interval_pairs(u) for lower in lowers)
+
+
+def _posets(n: int) -> list[IntervalPoset]:
+    return [p for _, _, p in _capped(n)]
+
+
 def _definitions(max_size: int, family: str, classifier: Callable) -> str:
     """The first interval of size n <= min(max_size, DEFINITIONS_CAP) whose
     ``family`` bit in :func:`classify.family_bits` differs from
     ``classifier``, the paper's definition on posets, as a failure detail."""
     for n in range(1, min(max_size, DEFINITIONS_CAP) + 1):
-        u = universe(n)
-        for bits in classify.family_bits(n):
-            for lower in _ones(bits.lowers):
-                p = _interval_poset(u, lower, bits.upper)
-                if getattr(bits, family) >> lower & 1 != classifier(p):
-                    return (f"n={n}: {family} bits and {classifier.__name__} disagree on "
-                            f"[{tree_to_text(u.trees[lower])}, {tree_to_text(u.trees[bits.upper])}]")
+        bits = [getattr(b, family) for b in classify.family_bits(n)]
+        for lower, upper, p in _capped(n):
+            if bits[upper] >> lower & 1 != classifier(p):
+                trees = universe(n).trees
+                return (f"n={n}: {family} bits and {classifier.__name__} disagree on "
+                        f"[{tree_to_text(trees[lower])}, {tree_to_text(trees[upper])}]")
     return ""
 
 
@@ -86,6 +102,25 @@ def _pairs(keys: bytes, same: bool) -> list[tuple[int, int]]:
             if (keys[i] == keys[j]) is same]
 
 
+def _nct_masks(t: NoncrossingTree) -> tuple[Masks, Masks]:
+    """The Dec and the Inc masks of ``nct_to_poset(t)``, straight from the
+    chords: i <| j iff chord j nests chord i, and nesting is transitive, so
+    there is nothing to close.  Chord (a, b) nests (c, d) iff a <= c and
+    d <= b, so the chords nesting (c, d) are those starting at or before c
+    and ending at or after d."""
+    n, labels = t.n, edge_labels(t)
+    starts, ends = [0] * (n + 1), [0] * (n + 1)
+    for (a, b), label in labels.items():
+        starts[a] |= 1 << (label - 1)
+        ends[b] |= 1 << (label - 1)
+    by_start = list(accumulate(starts, or_))
+    by_end = list(accumulate(reversed(ends), or_))[::-1]
+    up = [0] * n
+    for (c, d), label in labels.items():
+        up[label - 1] = (by_start[c] & by_end[d]) ^ 1 << (label - 1)  # all but (c, d)
+    return dec_masks(up), inc_masks(up)
+
+
 def _check_exceptional(max_size: int) -> str:
     # [S, T] is exceptional iff S's partition refines T's: S is in no
     # same[i, j], the trees with i and j in one block, for i, j in two
@@ -96,8 +131,14 @@ def _check_exceptional(max_size: int) -> str:
         same = _holding(_pairs(k, True) for k in keys)
         everything = (1 << len(keys)) - 1
         image = [0] * len(keys)
-        for p in map(nct_to_poset, enumerate_nct(n) if n <= EXCEPTIONAL_CAP else ()):
-            image[u.incs.index(inc_masks(p.up))] |= 1 << u.decs.index(dec_masks(p.up))
+        if n <= EXCEPTIONAL_CAP:
+            lower_of = {dec: s for s, dec in enumerate(u.decs)}
+            upper_of = {inc: s for s, inc in enumerate(u.incs)}
+            for t in enumerate_nct(n):
+                dec, inc = _nct_masks(t)
+                if dec not in lower_of or inc not in upper_of:
+                    return f"n={n}: noncrossing tree {nct_to_json(t)} maps to no tree pair"
+                image[upper_of[inc]] |= 1 << lower_of[dec]
         for bits in classify.family_bits(n):
             split = reduce(or_, map(same.__getitem__, _pairs(keys[bits.upper], False)), 0)
             if bits.exceptional != everything ^ (everything & split):
@@ -127,9 +168,9 @@ def _check_modern_shift(max_size: int) -> str:
             if n < max_size:
                 modern.append(bits.modern)
     for n in range(1, min(max_size, MODERN_SHIFT_CAP) + 1):
-        news = {p for p in enumerate_interval_posets(n + 1) if classify.is_new_ip(p)}
+        news = set(filter(classify.is_new_ip, _posets(n + 1)))
         risen = set()
-        for p in filter(classify.is_modern, enumerate_interval_posets(n)):
+        for p in filter(classify.is_modern, _posets(n)):
             q = validate(risefall.rise(p))
             if validate(risefall.fall(q)) != p:
                 return f"n={n}: fall(rise(P)) != P for P = {sorted(p.relations)}"
@@ -147,9 +188,8 @@ def _check_infinitely_modern(max_size: int) -> str:
     # (Universe.rise_caps), and [S, T] is infinitely modern iff dr(S) <= ir(T)
     for n in range(1, max_size + 1):
         u = universe(n)
-        at_most = [_at_most(column, n - 1 - j) for j, column in enumerate(zip(*u.brackets))]
         for bits in classify.family_bits(n):
-            risen = reduce(and_, map(getitem, at_most, u.rise_caps[bits.upper]), bits.lowers)
+            risen = reduce(and_, map(getitem, u.at_most, u.rise_caps[bits.upper]), bits.lowers)
             if risen != bits.infinitely_modern:
                 return (f"n={n}: lowers of {tree_to_text(u.trees[bits.upper])} whose rises "
                         "all validate differ from those with dr <= ir")
@@ -167,28 +207,31 @@ def _check_triangle(max_size: int) -> str:
     return ""
 
 
+def _infinitely_modern(n: int) -> Iterator[tuple[int, int, IntervalPoset]]:
+    """(dr, ir, poset) of each infinitely modern poset of size n, dr read
+    from the lower tree and ir from the upper one, as :func:`classify.stat`
+    reads them."""
+    u = universe(n)
+    for lower, upper, p in _capped(n):
+        if u.dr[lower] <= u.ir[upper]:
+            yield u.dr[lower], u.ir[upper], p
+
+
 def _check_insert_remove(max_size: int) -> str:
     for n in range(1, min(max_size, INSERT_REMOVE_CAP) + 1):
-        classes: dict[tuple[int, int], list] = {}
-        for p in enumerate_interval_posets(n + 1):
-            s = classify.stat(p)
-            if s.dr <= s.ir:
-                classes.setdefault((s.dr, s.ir), []).append(p)
-        lower = [
-            (classify.stat(p), p)
-            for p in enumerate_interval_posets(n)
-            if classify.is_infinitely_modern(p)
-        ]
+        classes: dict[tuple[int, int], set] = {}
+        for dr, ir, p in _infinitely_modern(n + 1):
+            classes.setdefault((dr, ir), set()).add(p)
+        smaller = list(_infinitely_modern(n))
         for i in range(1, n + 2):
             for k in range(i, n + 2):
-                domain = [p for (s, p) in lower if s.dr <= i and k - 1 <= s.ir]
-                image = {risefall.insert_fik(p, i, k) for p in domain}
-                target = set(classes.get((i, k), []))
-                if image != target or len(image) != len(domain):
+                domain = [p for dr, ir, p in smaller if dr <= i and k - 1 <= ir]
+                image = [risefall.insert_fik(p, i, k) for p in domain]
+                distinct = set(image)
+                if distinct != classes.get((i, k), set()) or len(distinct) != len(domain):
                     return f"n={n}, (i,k)=({i},{k}): insertion is not a bijection"
-                for p in domain:
-                    if risefall.remove_rho(risefall.insert_fik(p, i, k)) != p:
-                        return f"n={n}, (i,k)=({i},{k}): removal does not invert"
+                if any(map(ne, map(risefall.remove_rho, image), domain)):
+                    return f"n={n}, (i,k)=({i},{k}): removal does not invert"
     return ""
 
 
@@ -224,7 +267,7 @@ def _check_roundtrips(max_size: int) -> str:
 
 def _check_linear_extensions(max_size: int) -> str:
     for n in range(1, min(max_size, LINEAR_EXTENSIONS_CAP) + 1):
-        for p in enumerate_interval_posets(n):
+        for p in _posets(n):
             whole = linear_extensions(p.n, p.relations)
             parts: list[tuple[int, ...]] = []
             for t in interval_members(p):

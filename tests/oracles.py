@@ -11,16 +11,17 @@ Bell-number scan for ``enumerate_ncp``, the ``ncp_leq`` pair scan for
 the census's NC-partition interval count, the packed tree-pair scan
 for the bracket-vector generator of ``posets._interval_pairs``, the
 per-pair (ir, dr) loop for the triangle's bitsets, the per-pair family
-tests for ``classify.family_bits``, the poset stream and the poset
-classifiers for the lines of ``enumerate --family`` and ``classify
---size``, the three per-size caches that the columns of
+tests for ``classify.family_bits`` and the tables it built inline
+before they became columns of ``posets.universe``, the poset stream
+and the poset classifiers for the lines of ``enumerate --family`` and
+``classify --size``, the three per-size caches that the columns of
 ``posets.universe`` replaced (the tables read from ``relation_masks``,
 the per-tree walk of the classifier data, and the packed rise bounds),
 and the single-poset path that the per-pair and per-vertex stages of
 ``posets`` replaced: Warshall's closure, the transpose-first axiom check,
 the frozenset reading of a poset's JSON object, ``json.dumps`` of its
 dict (``poset_to_obj``, which left the package) and the order-checked
-``to_interval``.
+``to_interval``.  The two combs are fixtures.
 Several recurse, which is fine on the small trees the tests give them.
 """
 
@@ -155,6 +156,23 @@ def graft(t: Tree, i: int, s: Tree) -> Tree:
     return go(t, 1)
 
 
+def left_comb(n: int) -> Tree:
+    """The tree of n vertices, each the left child of the next; built
+    without recursion, so combs of any size are cheap."""
+    t: Tree = None
+    for _ in range(n):
+        t = BinaryTree(left=t)
+    return t
+
+
+def right_comb(n: int) -> Tree:
+    """The tree of n vertices, each the right child of the next."""
+    t: Tree = None
+    for _ in range(n):
+        t = BinaryTree(right=t)
+    return t
+
+
 def mirror(t: Tree) -> Tree:
     """Left/right reflection."""
     if t is None:
@@ -211,7 +229,10 @@ def tree_from_text(text: str) -> Tree:
 # the columns of ``posets.universe`` that only enumeration reads (JSON
 # fragments and sort orders), and those that only the classifiers read
 ENUMERATION_COLUMNS = {"_orders"}
-CLASSIFIER_COLUMNS = {"ir", "dr", "exc_lower", "exc_upper", "spans", "rise_caps"}
+CLASSIFIER_COLUMNS = {
+    "ir", "dr", "exc_lower", "exc_upper", "spans", "rise_caps",
+    "at_most", "dr_at_most", "span_bits", "witness",
+}
 
 
 def pack(masks) -> int:
@@ -317,6 +338,42 @@ def packed_rise_bounds(n: int) -> tuple[int, ...]:
             )
         bounds.append(bound)
     return tuple(bounds)
+
+
+class FamilyTables(NamedTuple):
+    """The per-size bitsets that ``classify.family_bits`` reads, as in the
+    columns of ``posets.universe`` of the same names."""
+
+    at_most: list[list[int]]
+    dr_at_most: list[int]
+    span_bits: dict[tuple[int, int], int]
+    witness: list[dict[tuple[int, int], int]]
+
+
+def inline_family_tables(n: int) -> FamilyTables:
+    """The tables that ``classify.family_bits`` built inline on each call
+    before they became columns, with each bitset set bit by bit from the
+    per-tree columns: bit s for the s-th tree."""
+    u = universe(n)
+
+    def trees_where(holds) -> int:
+        return sum(1 << s for s in range(len(u.brackets)) if holds(s))
+
+    return FamilyTables(
+        at_most=[[trees_where(lambda s: u.brackets[s][i] <= v) for v in range(n - i)]
+                 for i in range(n)],
+        dr_at_most=[trees_where(lambda s: u.dr[s] <= d) for d in range(n + 1)],
+        span_bits={span: trees_where(lambda s: span in u.spans[s])
+                   for span in {span for spans in u.spans for span in spans}},
+        witness=[
+            {(0, 0): 0} | {
+                (f, a): trees_where(lambda s: u.exc_lower[s][y - 1][0] < f
+                                    and u.exc_lower[s][y - 1][1] < a)
+                for f in range(1, y + 1) for a in range(y + 1, n + 1)
+            }
+            for y in range(1, n + 1)
+        ],
+    )
 
 
 def packed_caps(caps: bytes) -> int:

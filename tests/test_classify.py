@@ -3,7 +3,7 @@ import math
 import pytest
 
 import oracles
-from oracles import avoids_long_crossing, posets_with_trees
+from oracles import avoids_long_crossing, left_comb, posets_with_trees, right_comb
 from tamari import classify
 from tamari.posets import (
     enumerate_interval_posets,
@@ -16,8 +16,6 @@ from tamari.trees import (
     TamariInterval,
     Y,
     enumerate_trees,
-    left_comb,
-    right_comb,
     tamari_leq,
 )
 

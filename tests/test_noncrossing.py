@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from oracles import bell_scan_ncp, tree_from_text
+from oracles import bell_scan_ncp, left_comb, right_comb, tree_from_text
 from tamari import classify
 from tamari.noncrossing import (
     NoncrossingPartition,
@@ -30,9 +30,7 @@ from tamari.noncrossing import (
 from tamari.posets import RangeRelation, enumerate_interval_posets, validate
 from tamari.trees import (
     enumerate_trees,
-    left_comb,
     relation_masks,
-    right_comb,
     size,
 )
 

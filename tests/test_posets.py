@@ -8,13 +8,16 @@ from oracles import (
     ENUMERATION_COLUMNS,
     dec_relations,
     inc_relations,
+    inline_family_tables,
     interval_pair_scan,
     is_valid,
+    left_comb,
     mirror,
     packed_caps,
     packed_rise_bounds,
     posets_with_trees,
     relation_mask_tables,
+    right_comb,
     transitive_closure,
     walked_tree_data,
 )
@@ -44,9 +47,7 @@ from tamari.trees import (
     dec_masks,
     enumerate_trees,
     inc_masks,
-    left_comb,
     relation_masks,
-    right_comb,
     subtree_spans,
     tamari_leq,
 )
@@ -321,6 +322,11 @@ class TestColumns:
             for column in (u.lefts, u.brackets)
         ]
         assert kids == [data.left_kids, data.right_kids]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_bitset_columns_equal_the_inline_tables(self, n):
+        u = universe(n)
+        assert (u.at_most, u.dr_at_most, u.span_bits, u.witness) == inline_family_tables(n)
 
     @pytest.mark.parametrize("n", SIZES)
     def test_rise_caps_equal_the_packed_bounds(self, n):

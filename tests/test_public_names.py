@@ -11,7 +11,7 @@ referenced by
 - ``mod.name``, where ``mod`` is the short name of its module.
 
 The README names a public function or class as public API by writing it in
-backticks, alone or after its module (`` `trees.left_comb` ``), optionally
+backticks, alone or after its module (`` `trees.enumerate_trees` ``), optionally
 with an argument list.
 """
 

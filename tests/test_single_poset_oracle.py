@@ -26,7 +26,9 @@ from oracles import (
     checked_to_interval,
     covers,
     dumped_json,
+    left_comb,
     pairset_relation_from_obj,
+    right_comb,
     runs_hold,
     transpose_check_axioms,
     warshall_close,
@@ -363,4 +365,4 @@ def test_to_interval_walks_the_masks_only_when_read(monkeypatch):
     TamariInterval(interval.lower, interval.upper)  # a user-built one is checked
     assert calls == [1, 1]
     with pytest.raises(ValueError):
-        TamariInterval(trees.right_comb(5), trees.left_comb(5))
+        TamariInterval(right_comb(5), left_comb(5))

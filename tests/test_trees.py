@@ -8,9 +8,11 @@ from oracles import (
     dec_relations,
     graft,
     inc_relations,
+    left_comb,
     mirror,
     recursive_tree_repr,
     recursive_tree_to_text,
+    right_comb,
     span_or_relation_masks,
     transitive_closure,
     tree_from_text,
@@ -21,9 +23,7 @@ from tamari.trees import (
     BinaryTree,
     TamariInterval,
     enumerate_trees,
-    left_comb,
     relation_masks,
-    right_comb,
     size,
     tamari_leq,
     tree_from_obj,

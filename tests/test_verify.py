@@ -7,8 +7,11 @@ import io
 
 import pytest
 
-from tamari import census, classify, posets, verify
+from oracles import ENUMERATION_COLUMNS
+from tamari import census, classify, posets, risefall, verify
 from tamari.cli import main
+from tamari.noncrossing import enumerate_nct, nct_to_poset
+from tamari.trees import dec_masks, inc_masks
 
 
 def output_hash(argv):
@@ -78,6 +81,73 @@ def test_exceptional_check_fails_on_upper_block_keys_one_label_off(monkeypatch):
     assert verify._check_exceptional(4) == (
         "n=2: exceptional lowers of ((L L) L) differ from the partitions refining its own"
     )
+
+
+@pytest.mark.parametrize("n", [
+    1, 2, 3, 4, 5, 6,
+    pytest.param(7, marks=pytest.mark.slow),
+    pytest.param(8, marks=pytest.mark.slow),
+])
+def test_noncrossing_tree_masks_equal_the_closed_poset(n):
+    # the chord-nesting map against nct_to_poset and the index search on
+    # the universe's columns that it replaced
+    u = posets.universe(n)
+    lower_of = {dec: s for s, dec in enumerate(u.decs)}
+    upper_of = {inc: s for s, inc in enumerate(u.incs)}
+    for t in enumerate_nct(n):
+        p = nct_to_poset(t)
+        dec, inc = verify._nct_masks(t)
+        assert (dec, inc) == (dec_masks(p.up), inc_masks(p.up))
+        assert (lower_of[dec], upper_of[inc]) == (
+            u.decs.index(dec_masks(p.up)), u.incs.index(inc_masks(p.up))
+        )
+
+
+def test_exceptional_check_names_a_noncrossing_tree_with_no_tree_pair(monkeypatch):
+    monkeypatch.setattr(verify, "_nct_masks", lambda t: ((0,) * t.n, (-1,) * t.n))
+    assert verify._check_exceptional(4) == (
+        'n=1: noncrossing tree {"n": 1, "edges": [[0, 1]]} maps to no tree pair'
+    )
+
+
+def test_insert_remove_check_fails_on_an_insertion_without_its_relation(monkeypatch):
+    assert verify._check_insert_remove(4) == ""
+    insert_fik = risefall.insert_fik
+
+    def dropped(p, i, k):
+        # the inserted poset less the added relation k <| k + 1
+        up = list(insert_fik(p, i, k).up)
+        if k <= p.n:
+            up[k - 1] &= ~(1 << k)
+        return posets._build(posets.IntervalPoset, tuple(up))
+
+    monkeypatch.setattr(risefall, "insert_fik", dropped)
+    assert verify._check_insert_remove(4) == "n=1, (i,k)=(1,1): insertion is not a bijection"
+
+
+def test_insert_remove_check_fails_on_a_wrong_removal(monkeypatch):
+    monkeypatch.setattr(risefall, "remove_rho", lambda q: q)
+    assert verify._check_insert_remove(4) == "n=1, (i,k)=(1,1): removal does not invert"
+
+
+def test_linear_extension_check_fails_when_a_member_is_dropped(monkeypatch):
+    assert verify._check_linear_extensions(4) == ""
+    members = posets.interval_members
+    monkeypatch.setattr(verify, "interval_members", lambda p: members(p)[1:])
+    assert verify._check_linear_extensions(4) == (
+        "n=1: linear extensions do not partition over members"
+    )
+
+
+def test_first_record_comes_before_the_posets_and_the_noncrossing_map(monkeypatch):
+    mapped = []
+    monkeypatch.setattr(verify, "_nct_masks", mapped.append)
+    posets.universe.cache_clear()
+    verify._capped.cache_clear()
+    checks = verify.run_checks(6)
+    assert next(checks).name == "interval counts"
+    assert verify._capped.cache_info().currsize == 0 and not mapped
+    assert not any(set(vars(posets.universe(n))) & ENUMERATION_COLUMNS for n in range(1, 7))
 
 
 def test_definitions_cover_every_family(monkeypatch):
