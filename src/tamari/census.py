@@ -4,9 +4,9 @@ closed formula, plus the triangle refining the Fuss-Catalan numbers."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb, factorial, prod
 from operator import add
+from typing import NamedTuple
 
 from . import classify, posets
 from .noncrossing import count_nct
@@ -54,8 +54,7 @@ def _block_keys(r: bytes) -> bytes:
     return bytes(map(add, range(len(r)), r))
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     n: int
     intervals: int
     exceptional: int
@@ -68,17 +67,7 @@ class CensusRow:
     ncp_intervals: int
 
     def counts(self) -> dict[str, int]:
-        return {
-            "intervals": self.intervals,
-            "exceptional": self.exceptional,
-            "modern": self.modern,
-            "new": self.new,
-            "infinitely_modern": self.infinitely_modern,
-            "trees": self.trees,
-            "noncrossing_trees": self.noncrossing_trees,
-            "noncrossing_partitions": self.noncrossing_partitions,
-            "ncp_intervals": self.ncp_intervals,
-        }
+        return dict(zip(self._fields[1:], self[1:]))
 
     def formula_checks(self) -> dict[str, int]:
         checks = {
@@ -146,8 +135,7 @@ def census(n: int, bound: int = DEFAULT_BOUND) -> CensusRow:
     return row
 
 
-@dataclass(frozen=True)
-class TriangleB:
+class TriangleB(NamedTuple):
     """Refinement of Fuss-Catalan(n): entry (k, l) counts the infinitely
     modern posets of size n with dr = k+1 and ir = n-l."""
 

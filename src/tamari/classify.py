@@ -19,7 +19,6 @@ of :func:`posets.universe`; the classifiers are its oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, getitem, or_
 from typing import Iterable, Iterator, NamedTuple
@@ -70,8 +69,7 @@ def is_new_ip(p: IntervalPoset) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class StatPair:
+class StatPair(NamedTuple):
     """Positions of the first length-1 increasing relation (ir) and the
     last length-1 decreasing relation (dr), with conventions ir = n and
     dr = 1 when the respective relations are absent."""

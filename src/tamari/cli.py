@@ -21,12 +21,12 @@ from .noncrossing import (
     NoncrossingPartition,
     enumerate_ncp,
     enumerate_nct,
-    make_partition,
     ncp_interval_to_ip,
     nct_from_json,
     nct_to_json,
     nct_to_poset,
     ncp_to_json,
+    partition_from_obj,
     partition_of_tree,
     poset_to_nct,
     tree_of_partition,
@@ -214,14 +214,11 @@ def _parse_source(kind: str, text: str):
         elif kind == "ncp":
             obj = json.loads(text)
             if "lower" in obj:
-                value = (
-                    make_partition(obj["lower"]["blocks"]),
-                    make_partition(obj["upper"]["blocks"]),
-                )
+                value = (partition_from_obj(obj["lower"]), partition_from_obj(obj["upper"]))
                 n = _ncp_size(obj["lower"], value[0])
                 _ncp_size(obj["upper"], value[1])
             else:
-                value = make_partition(obj["blocks"])
+                value = partition_from_obj(obj)
                 n = _ncp_size(obj, value)
         else:
             raise UsageError(f"unknown source kind {kind}")

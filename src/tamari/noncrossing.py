@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import NamedTuple
 
 from . import classify
-from .posets import IntervalPoset, from_interval, make_poset
-from .trees import BinaryTree, TamariInterval, Tree, enumerate_trees, size
+from .posets import IntervalPoset, _check_limit, from_interval, make_poset
+from .trees import BinaryTree, TamariInterval, Tree, _Frozen, _set, enumerate_trees, size
 
 Chord = tuple[int, int]
 
@@ -44,12 +44,15 @@ def _is_tree(n: int, edges: frozenset[Chord]) -> bool:
     return len(seen) == n + 1  # n edges + connected => acyclic
 
 
-@dataclass(frozen=True)
-class NoncrossingTree:
+class NoncrossingTree(_Frozen):
     """A noncrossing spanning tree of the vertices of a based (n+1)-gon."""
 
-    n: int
-    edges: frozenset[Chord]
+    __slots__ = _fields = ("n", "edges")
+
+    def __init__(self, n: int, edges: frozenset[Chord]) -> None:
+        _set(self, "n", n)
+        _set(self, "edges", edges)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for (a, b) in self.edges:
@@ -131,8 +134,8 @@ def count_nct(n: int) -> int:
 def _trusted_nct(n: int, edges: frozenset[Chord]) -> NoncrossingTree:
     """A :class:`NoncrossingTree` on edges known to form one, with no check."""
     t = object.__new__(NoncrossingTree)
-    object.__setattr__(t, "n", n)
-    object.__setattr__(t, "edges", edges)
+    _set(t, "n", n)
+    _set(t, "edges", edges)
     return t
 
 
@@ -178,14 +181,13 @@ def poset_to_nct(p: IntervalPoset) -> NoncrossingTree:
     return NoncrossingTree(p.n, frozenset(edges))
 
 
-@dataclass(frozen=True)
-class PlantOutcome:
+class PlantOutcome(NamedTuple):
     """Signals that a composition leaves the noncrossing-tree family (the
     result would be a noncrossing plant, which is out of scope)."""
 
-    f: "NoncrossingTree"
+    f: NoncrossingTree
     i: int
-    g: "NoncrossingTree"
+    g: NoncrossingTree
 
 
 def nct_compose(
@@ -226,29 +228,28 @@ def boundary_tree(n: int) -> NoncrossingTree:
 
 # -- noncrossing partitions --------------------------------------------------
 
-@dataclass(frozen=True)
-class NoncrossingPartition:
+class NoncrossingPartition(_Frozen):
     """Blocks sorted by minimum, elements sorted inside each block.
 
     ``n`` is the number of elements, stored once; it takes no part in
     equality, hashing or repr.
     """
 
-    blocks: tuple[tuple[int, ...], ...]
-    n: int = field(init=False, compare=False, repr=False)
+    _fields = ("blocks",)
+    __slots__ = (*_fields, "n")
 
-    def __post_init__(self) -> None:
-        elements = [x for b in self.blocks for x in b]
+    def __init__(self, blocks: tuple[tuple[int, ...], ...]) -> None:
+        elements = [x for b in blocks for x in b]
         n = len(elements)
-        if sorted(elements) != list(range(1, n + 1)) or not all(self.blocks):
+        if sorted(elements) != list(range(1, n + 1)) or not all(blocks):
             raise ValueError("blocks must partition {1..n} into nonempty sets")
-        if list(self.blocks) != sorted(tuple(sorted(b)) for b in self.blocks):
+        if list(blocks) != sorted(tuple(sorted(b)) for b in blocks):
             raise ValueError("blocks must be sorted by minimum, elements sorted")
         # one pass over 1..n with a stack of the blocks begun and not yet
         # ended: a later element of a block must find that block on top,
         # else the block on top began after it and ends after this element
         block_at: list[tuple[int, ...]] = [()] * (n + 1)
-        for b in self.blocks:
+        for b in blocks:
             for x in b:
                 block_at[x] = b
         begun: list[tuple[int, ...]] = []
@@ -261,7 +262,8 @@ class NoncrossingPartition:
                 raise ValueError(f"blocks {b} and {begun[-1]} cross")
             elif x == b[-1]:
                 begun.pop()
-        object.__setattr__(self, "n", n)
+        _set(self, "blocks", blocks)
+        _set(self, "n", n)
 
     def block_of(self, x: int) -> tuple[int, ...]:
         for b in self.blocks:
@@ -367,6 +369,7 @@ def nct_to_json(t: NoncrossingTree) -> str:
 
 def nct_from_json(text: str) -> NoncrossingTree:
     obj = json.loads(text)
+    _check_limit(obj["n"], "noncrossing tree")
     return NoncrossingTree(obj["n"], frozenset((a, b) for a, b in obj["edges"]))
 
 
@@ -374,5 +377,11 @@ def ncp_to_json(p: NoncrossingPartition) -> str:
     return json.dumps({"n": p.n, "blocks": [list(b) for b in p.blocks]})
 
 
+def partition_from_obj(obj: dict) -> NoncrossingPartition:
+    """The partition of an ncp JSON object's ``blocks``."""
+    _check_limit(sum(map(len, obj["blocks"])), "partition")
+    return make_partition(obj["blocks"])
+
+
 def ncp_from_json(text: str) -> NoncrossingPartition:
-    return make_partition(json.loads(text)["blocks"])
+    return partition_from_obj(json.loads(text))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, chain, compress, count
 from operator import add, le, or_, sub
@@ -24,6 +23,8 @@ from .trees import (
     Masks,
     TamariInterval,
     Tree,
+    _Frozen,
+    _set,
     dec_masks,
     enumerate_trees,
     inc_masks,
@@ -171,8 +172,7 @@ def _raise_witness(up) -> None:
                 raise IntervalConditionViolated(y, b, x, 2)
 
 
-@dataclass(frozen=True, init=False, repr=False, slots=True)
-class RangeRelation:
+class RangeRelation(_Frozen):
     """An arbitrary irreflexive relation on {1..n}.
 
     ``up[x - 1]`` is the up-set mask of x: bit ``y - 1`` is set iff x <| y.
@@ -182,12 +182,21 @@ class RangeRelation:
     general carrier.
     """
 
-    n: int
-    up: tuple[int, ...]
+    __slots__ = _fields = ("n", "up")
 
     def __init__(self, n: int, pairs) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "up", tuple(_masks(n, pairs)))
+        _set(self, "n", n)
+        _set(self, "up", tuple(_masks(n, pairs)))
+
+    def __eq__(self, other) -> bool:
+        same = other.__class__ is self.__class__
+        return (self.n, self.up) == (other.n, other.up) if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.up))
+
+    def __reduce__(self):
+        return _build, (self.__class__, self.up)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.n}, {sorted(self.pairs)})"
@@ -243,8 +252,8 @@ class IntervalPoset(RangeRelation):
 def _build(cls, up: tuple[int, ...]):
     """A ``cls`` on trusted masks, with no check."""
     rel = object.__new__(cls)
-    object.__setattr__(rel, "n", len(up))
-    object.__setattr__(rel, "up", up)
+    _set(rel, "n", len(up))
+    _set(rel, "up", up)
     return rel
 
 
@@ -334,8 +343,8 @@ def to_interval(p: IntervalPoset) -> TamariInterval:
     """Inverse of :func:`from_interval`.  The bounds of an interval-poset
     are comparable (Chatel-Pons), so their order is not checked again."""
     interval = object.__new__(TamariInterval)
-    object.__setattr__(interval, "lower", _lower_tree(dec_masks(p.up)))
-    object.__setattr__(interval, "upper", _upper_tree(inc_masks(p.up)))
+    _set(interval, "lower", _lower_tree(dec_masks(p.up)))
+    _set(interval, "upper", _upper_tree(inc_masks(p.up)))
     return interval
 
 
@@ -696,21 +705,25 @@ def poset_to_json(p: RangeRelation) -> str:
     return f'{{"size": {p.n}, "inc": [{", ".join(inc)}], "dec": [{", ".join(dec)}]}}'
 
 
-# The largest size a poset read from JSON may declare, checked before any
-# mask is built.  A chain has the most relations of any poset of its size,
+# The largest size that a poset or noncrossing tree read from JSON may
+# declare, or a partition hold, checked before anything of that size is
+# built.  A chain has the most relations of any poset of its size,
 # n(n - 1)/2, and the JSON of a poset lists them all: `tamari classify` of a
 # 1,500-chain takes 1.4-1.6 s and 226 MB, of a 2,000-chain 2.8 s and 396 MB
 # (fresh process, 2-vCPU VM, Python 3.11.7).  The tests convert a 1,200-chain.
 MAX_OBJECT_SIZE = 1_500
 
 
+def _check_limit(n, kind: str) -> None:
+    if type(n) is int and n > MAX_OBJECT_SIZE:
+        raise ValueError(f"size {n} exceeds the limit {MAX_OBJECT_SIZE} for a single {kind}")
+
+
 def relation_from_obj(obj: dict) -> RangeRelation:
     """The relation of a poset's JSON object, whose pairs [a, b] in both
     lists mean a <| b, read straight into its masks."""
-    n = obj["size"]
-    if type(n) is int and n > MAX_OBJECT_SIZE:
-        raise ValueError(f"size {n} exceeds the limit {MAX_OBJECT_SIZE} for a single poset")
-    return RangeRelation(n, chain(obj.get("inc", []), obj.get("dec", [])))
+    _check_limit(obj["size"], "poset")
+    return RangeRelation(obj["size"], chain(obj.get("inc", []), obj.get("dec", [])))
 
 
 def poset_from_json(text: str) -> IntervalPoset:

@@ -8,25 +8,58 @@ labelling), and all relation-producing operations use those labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional
 
 Tree = Optional["BinaryTree"]
 Masks = tuple[int, ...]  # up-set masks, one per vertex
 
+_set = object.__setattr__  # writes a field of a frozen carrier
 
-@dataclass(frozen=True, eq=False, repr=False)
-class BinaryTree:
+
+class _Frozen:
+    """A frozen ``__slots__`` carrier: the fields named in ``_fields`` give
+    equality (same class only), hashing, the repr and the constructor's
+    arguments when pickled.  Setting or deleting any attribute raises."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other) -> bool:
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class BinaryTree(_Frozen):
     """An internal node of a planar binary tree; ``None`` children are leaves.
 
     Equality and hashing read the preorder word of the shape, 1 per node
     and 0 per leaf, built without recursion: trees of any depth compare.
-    The repr is the dataclass one, also built without recursion.
+    Its repr, ``BinaryTree(left=..., right=...)``, is built likewise.
     """
 
-    left: Tree = None
-    right: Tree = None
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Tree = None, right: Tree = None) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def _word(self) -> bytes:
         word = bytearray()
@@ -178,8 +211,7 @@ def tamari_leq(t1: Tree, t2: Tree) -> bool:
     return _compared(t1, t2)[0]
 
 
-@dataclass(frozen=True)
-class TamariInterval:
+class TamariInterval(_Frozen):
     """An interval [lower, upper] of the Tamari lattice.
 
     ``masks`` keeps the relation masks of both bounds, walked once by the
@@ -187,18 +219,23 @@ class TamariInterval:
     it takes no part in equality, hashing or repr.
     """
 
-    lower: Tree
-    upper: Tree
+    _fields = ("lower", "upper")
+    __slots__ = (*_fields, "masks")
 
-    def __post_init__(self) -> None:
-        leq, masks = _compared(self.lower, self.upper)
+    def __init__(self, lower: Tree, upper: Tree) -> None:
+        leq, masks = _compared(lower, upper)
         if not leq:
             raise ValueError("lower bound is not below upper bound")
-        object.__setattr__(self, "masks", masks)  # the cached property's value
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
+        _set(self, "masks", masks)
 
-    @cached_property
-    def masks(self) -> tuple[Masks, Masks]:
-        return _compared(self.lower, self.upper)[1]
+    def __getattr__(self, name: str):
+        """Walk ``masks`` on its first read; only unset slots land here."""
+        if name != "masks":
+            raise AttributeError(name)
+        _set(self, "masks", _compared(self.lower, self.upper)[1])
+        return self.masks
 
     @property
     def size(self) -> int:

@@ -5,11 +5,10 @@ behind ``tamari verify`` and the acceptance suite."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations
 from operator import and_, getitem, ne, or_
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import census, classify, risefall
 from .census import _block_keys, catalan
@@ -52,8 +51,7 @@ PARTITION_ROUND_TRIP_CAP = 5
 LINEAR_EXTENSIONS_CAP = 4  # extensions grow like n!
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""

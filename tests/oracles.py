@@ -21,13 +21,17 @@ and the single-poset path that the per-pair and per-vertex stages of
 ``posets`` replaced: Warshall's closure, the transpose-first axiom check,
 the frozenset reading of a poset's JSON object, ``json.dumps`` of its
 dict (``poset_to_obj``, which left the package) and the order-checked
-``to_interval``.  The two combs are fixtures.
+``to_interval``.  The two combs are fixtures.  Last come ``@dataclass``
+twins of the package's carriers and records, the definitions that the
+``__slots__`` classes and named tuples replaced.
 Several recurse, which is fine on the small trees the tests give them.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 from tamari import classify
@@ -54,6 +58,7 @@ from tamari.posets import (
     _masks,
     _pairs_json,
     _sorted_pairs,
+    _raise_witness,
     _upper_tree,
     universe,
     validate,
@@ -63,6 +68,8 @@ from tamari.trees import (
     Masks,
     TamariInterval,
     Tree,
+    _compared,
+    _render,
     dec_masks,
     enumerate_trees,
     inc_masks,
@@ -189,7 +196,8 @@ def recursive_tree_to_text(t: Tree) -> str:
 
 
 def recursive_tree_repr(t: Tree) -> str:
-    """The repr that ``dataclass`` generates for ``BinaryTree``, by recursion."""
+    """The repr of a ``BinaryTree``, ``BinaryTree(left=..., right=...)``,
+    by recursion."""
     if t is None:
         return "None"
     return (f"BinaryTree(left={recursive_tree_repr(t.left)}, "
@@ -679,3 +687,153 @@ def dumped_json(p: RangeRelation) -> str:
 def checked_to_interval(p: IntervalPoset) -> TamariInterval:
     """``to_interval`` with the order check of ``TamariInterval``."""
     return TamariInterval(_lower_tree(dec_masks(p.up)), _upper_tree(inc_masks(p.up)))
+
+
+# -- dataclass twins ------------------------------------------------------------
+#
+# Each twin keeps the ``@dataclass`` definition of the class it is named
+# after: the decorator's options, the fields and the hand-written dunder
+# methods.  Only the validation of NoncrossingTree and NoncrossingPartition
+# is left out (their own tests cover it); the partition just counts its
+# elements.  A twin's ``__name__`` and ``__qualname__`` are those of its
+# class, so its repr reads as the old one did; twins are not picklable.
+
+
+def _twin(cls):
+    cls.__name__ = cls.__qualname__ = cls.__name__.removeprefix("Twin")
+    return cls
+
+
+@_twin
+@dataclass(frozen=True, eq=False, repr=False)
+class TwinBinaryTree:
+    left: Tree = None
+    right: Tree = None
+
+    def _word(self) -> bytes:
+        word = bytearray()
+        stack: list = [self]
+        while stack:
+            node = stack.pop()
+            if node is None:
+                word.append(0)
+            else:
+                word.append(1)
+                stack.append(node.right)
+                stack.append(node.left)
+        return bytes(word)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not TwinBinaryTree:
+            return NotImplemented
+        return self is other or self._word() == other._word()
+
+    def __hash__(self) -> int:
+        return hash(self._word())
+
+    def __repr__(self) -> str:
+        return _render(self, "None", "BinaryTree(left=", ", right=", ")")
+
+
+@_twin
+@dataclass(frozen=True)
+class TwinTamariInterval:
+    lower: Tree
+    upper: Tree
+
+    def __post_init__(self) -> None:
+        leq, masks = _compared(self.lower, self.upper)
+        if not leq:
+            raise ValueError("lower bound is not below upper bound")
+        object.__setattr__(self, "masks", masks)  # the cached property's value
+
+    @cached_property
+    def masks(self) -> tuple[Masks, Masks]:
+        return _compared(self.lower, self.upper)[1]
+
+
+@_twin
+@dataclass(frozen=True, init=False, repr=False, slots=True)
+class TwinRangeRelation:
+    n: int
+    up: tuple[int, ...]
+
+    def __init__(self, n: int, pairs) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "up", tuple(_masks(n, pairs)))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.n}, {sorted(mask_pairs(self.up))})"
+
+
+@_twin
+class TwinIntervalPoset(TwinRangeRelation):
+    __slots__ = ()
+
+    def __init__(self, n: int, relations) -> None:
+        super().__init__(n, relations)
+        _raise_witness(self.up)
+        if tuple(_close(list(self.up))) != self.up:
+            raise InvalidIntervalPoset("relation is not transitively closed")
+
+
+@_twin
+@dataclass(frozen=True)
+class TwinNoncrossingTree:
+    n: int
+    edges: frozenset[tuple[int, int]]
+
+
+@_twin
+@dataclass(frozen=True)
+class TwinNoncrossingPartition:
+    blocks: tuple[tuple[int, ...], ...]
+    n: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "n", sum(map(len, self.blocks)))
+
+
+@_twin
+@dataclass(frozen=True)
+class TwinPlantOutcome:
+    f: "NoncrossingTree"
+    i: int
+    g: "NoncrossingTree"
+
+
+@_twin
+@dataclass(frozen=True)
+class TwinCensusRow:
+    n: int
+    intervals: int
+    exceptional: int
+    modern: int
+    new: int
+    infinitely_modern: int
+    trees: int
+    noncrossing_trees: int
+    noncrossing_partitions: int
+    ncp_intervals: int
+
+
+@_twin
+@dataclass(frozen=True)
+class TwinTriangleB:
+    n: int
+    table: dict[tuple[int, int], int]
+
+
+@_twin
+@dataclass(frozen=True)
+class TwinStatPair:
+    ir: int
+    dr: int
+
+
+@_twin
+@dataclass(frozen=True)
+class TwinCheckResult:
+    name: str
+    passed: bool
+    detail: str = ""

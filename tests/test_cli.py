@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import poset_to_obj
 import tamari
-from tamari import census, posets
+from tamari import census, noncrossing, posets
 from tamari.cli import BROKEN_PIPE, main
 from tamari.noncrossing import enumerate_ncp, enumerate_nct, ncp_to_json, nct_to_json
 from tamari.posets import (
@@ -422,6 +422,40 @@ class TestSizeLimit:
         assert code == 0
         assert json.loads(text)["size"] == MAX_OBJECT_SIZE
 
+    # the noncrossing tree of the n boundary edges (its poset is empty),
+    # the partition into one block, and an ncp pair of that partition
+    SOURCES = {
+        "nct": lambda n: {"n": n, "edges": [[k - 1, k] for k in range(1, n + 1)]},
+        "ncp": lambda n: {"blocks": [list(range(1, n + 1))]},
+        "ncp pair": lambda n: {"lower": {"blocks": [list(range(1, n + 1))]},
+                               "upper": {"blocks": [list(range(1, n + 1))]}},
+    }
+
+    @pytest.mark.parametrize("source, target", [("nct", "poset"), ("ncp", "ncp")])
+    def test_noncrossing_objects_at_the_limit_are_accepted(self, source, target):
+        blob = json.dumps(self.SOURCES[source](MAX_OBJECT_SIZE))
+        code, text = run(["convert", "--from", source, "--to", target, "--input", blob])
+        assert code == 0
+        got = json.loads(text)
+        assert (got["size"] if target == "poset" else got["upper"]["n"]) == MAX_OBJECT_SIZE
+
+    @pytest.mark.parametrize("source", ["nct", "ncp", "ncp pair"])
+    def test_noncrossing_objects_above_the_limit_are_refused_unbuilt(
+        self, source, monkeypatch, capsys
+    ):
+        def refuse(*args):
+            raise AssertionError("an oversized object was built")
+
+        monkeypatch.setattr(noncrossing.NoncrossingTree, "__post_init__", refuse)
+        monkeypatch.setattr(noncrossing, "make_partition", refuse)
+        blob = json.dumps(self.SOURCES[source](MAX_OBJECT_SIZE + 1))
+        kind = source.split()[0]
+        code, text = run(["convert", "--from", kind, "--to", "poset", "--input", blob])
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"exceeds the limit {MAX_OBJECT_SIZE}" in err
+
 
 class TestDeepInput:
     # nested deeper than json.loads can read
@@ -496,6 +530,26 @@ class TestBrokenPipe:
         assert proc.wait(timeout=60) == BROKEN_PIPE
         assert json.loads(first)["size"] == 6
         assert err == b""
+
+
+class TestStartUp:
+    # prints the modules that importing the CLI and building its parser
+    # load beyond those of a bare interpreter (whose site may load re or
+    # typing already)
+    PROBE = (
+        "import sys; bare = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+        "import tamari.cli; tamari.cli.build_parser(); "
+        "print(*sorted(set(sys.modules) - bare))"
+    )
+
+    def test_cli_loads_neither_dataclasses_nor_inspect(self):
+        src = os.path.dirname(os.path.dirname(tamari.__file__))
+        loaded = subprocess.run(
+            [sys.executable, "-I", "-c", self.PROBE, src],
+            capture_output=True, text=True, check=True, timeout=60,
+        ).stdout.split()
+        assert "tamari.cli" in loaded
+        assert not {"dataclasses", "inspect"} & set(loaded)
 
 
 # -- fuzzing the exit-code contract -------------------------------------------
