@@ -39,6 +39,7 @@ from .posets import (
     relation_from_obj,
     stream_interval_json,
     to_interval,
+    tree_poset,
     universe,
     validate,
 )
@@ -241,15 +242,14 @@ def _to_poset(kind: str, value) -> IntervalPoset:
         return from_interval(value)
     if kind == "nct":
         return nct_to_poset(value)
-    # ncp: a single partition maps to the singleton interval at its tree;
-    # a pair maps through the NC-partition interval.
+    # ncp: a single partition maps to the poset of its tree (the singleton
+    # interval); a pair maps through the NC-partition interval.
     if isinstance(value, tuple):
         try:
             return ncp_interval_to_ip(*value)
         except ValueError as exc:
             raise UsageError(f"NotAnInterval: {exc}") from exc
-    t = tree_of_partition(value)
-    return from_interval(TamariInterval(t, t))
+    return tree_poset(tree_of_partition(value))
 
 
 def _from_poset(kind: str, p: IntervalPoset) -> str:

@@ -9,21 +9,23 @@ base and that no nested edge has already consumed.
 
 from __future__ import annotations
 
-import itertools
 import json
-from operator import attrgetter
+from itertools import accumulate
+from operator import attrgetter, or_
 from typing import NamedTuple
 
 from . import classify
-from .posets import IntervalPoset, _check_limit, from_interval, make_poset
-from .trees import BinaryTree, TamariInterval, Tree, _Frozen, _set, enumerate_trees, size
+from .posets import (
+    IntervalPoset,
+    _brackets_inc,
+    _check_limit,
+    _upper_tree,
+    _validated,
+    from_interval,
+)
+from .trees import TamariInterval, Tree, _Frozen, _set, enumerate_trees, subtree_spans
 
 Chord = tuple[int, int]
-
-
-def _crossing(e1: Chord, e2: Chord) -> bool:
-    (a, b), (c, d) = sorted((e1, e2))
-    return a < c < b < d
 
 
 def _is_tree(n: int, edges: frozenset[Chord]) -> bool:
@@ -60,9 +62,15 @@ class NoncrossingTree(_Frozen):
                 raise ValueError(f"chord ({a},{b}) out of range for a {self.n + 1}-gon")
         if not _is_tree(self.n, self.edges):
             raise ValueError("edge set is not a spanning tree")
-        for e1, e2 in itertools.combinations(self.edges, 2):
-            if _crossing(e1, e2):
-                raise ValueError(f"edges {e1} and {e2} cross")
+        # sweep by start, longer first; the open chords nest, so a chord
+        # crosses one iff the innermost ends strictly inside it
+        nested: list[Chord] = []
+        for a, b in sorted(self.edges, key=lambda e: (e[0], -e[1])):
+            while nested and nested[-1][1] <= a:
+                nested.pop()
+            if nested and nested[-1][1] < b:
+                raise ValueError(f"edges {nested[-1]} and {(a, b)} cross")
+            nested.append((a, b))
 
     def sort_key(self) -> tuple:
         return (self.n, sorted(self.edges))
@@ -156,17 +164,28 @@ def edge_labels(t: NoncrossingTree) -> dict[Chord, int]:
     return labels
 
 
+def _chord_masks(t: NoncrossingTree) -> list[int]:
+    """The up-set masks of :func:`nct_to_poset`: the chords nesting (c, d)
+    start at or before c and end at or after d.  Nesting is transitive, so
+    there is nothing to close."""
+    n, labels = t.n, edge_labels(t)
+    starts, ends = [0] * (n + 1), [0] * (n + 1)
+    for (a, b), label in labels.items():
+        starts[a] |= 1 << (label - 1)
+        ends[b] |= 1 << (label - 1)
+    by_start = list(accumulate(starts, or_))
+    by_end = list(accumulate(reversed(ends), or_))[::-1]
+    up = [0] * n
+    for (c, d), label in labels.items():
+        up[label - 1] = (by_start[c] & by_end[d]) ^ 1 << (label - 1)  # all but (c, d)
+    return up
+
+
 def nct_to_poset(t: NoncrossingTree) -> IntervalPoset:
     """i <| j iff the edge labelled j separates the edge labelled i from the
     base (closed nesting: shared endpoints count as separated).  The result
     is always an exceptional interval-poset."""
-    chord_of = {label: chord for chord, label in edge_labels(t).items()}
-    pairs = set()
-    for i, (c, d) in chord_of.items():
-        for j, (a, b) in chord_of.items():
-            if i != j and a <= c <= d <= b:
-                pairs.add((i, j))
-    return make_poset(t.n, pairs)
+    return _validated(_chord_masks(t))
 
 
 def poset_to_nct(p: IntervalPoset) -> NoncrossingTree:
@@ -286,60 +305,24 @@ def enumerate_ncp(n: int) -> list[NoncrossingPartition]:
 
 def partition_of_tree(t: Tree) -> NoncrossingPartition:
     """Finest partition joining each vertex (by in-order label) with its
-    right child."""
+    right child: a right chain shares the last label of its vertices'
+    subtrees, v + r_v, the block key that ``census`` reads."""
     if t is None:
         raise ValueError("tree must be nonempty")
-    # iterative in-order walk; a right child is labelled after its parent
-    # and joins the parent's block
-    block_of = [0]  # block_of[label]: the smallest label of its block
     blocks: dict[int, list[int]] = {}
-    stack: list[tuple[BinaryTree, int]] = []  # (node, parent label if right child)
-    node, parent = t, 0
-    while stack or node is not None:
-        while node is not None:
-            stack.append((node, parent))
-            node, parent = node.left, 0
-        node, parent = stack.pop()
-        label = len(block_of)
-        first = block_of[parent] if parent else label
-        block_of.append(first)
-        blocks.setdefault(first, []).append(label)
-        node, parent = node.right, label
+    for v, _, last in subtree_spans(t):
+        blocks.setdefault(last, []).append(v)
     return make_partition(blocks.values())
 
 
 def tree_of_partition(pi: NoncrossingPartition) -> Tree:
-    """Inverse of :func:`partition_of_tree`: each block becomes a right
-    chain rooted at its minimum, then each chain is grafted as the left son
-    of the vertex labelled max(block)+1."""
-    n = pi.n
-    left: dict[int, int | None] = {x: None for x in range(1, n + 1)}
-    right: dict[int, int | None] = {x: None for x in range(1, n + 1)}
-    root_label = None
+    """Inverse of :func:`partition_of_tree`: each block is a right chain,
+    so its vertex v has the bracket r_v = max(block) - v."""
+    r = [0] * pi.n
     for block in pi.blocks:
-        for x, y in zip(block, block[1:]):
-            right[x] = y
-        m = block[-1]
-        if m == n:
-            root_label = block[0]
-        else:
-            left[m + 1] = block[0]
-    assert root_label is not None
-
-    # iterative post-order: a node is built once both sons are
-    built: dict[int | None, Tree] = {None: None}
-    stack = [root_label]
-    while stack:
-        label = stack[-1]
-        sons = [s for s in (left[label], right[label]) if s not in built]
-        if sons:
-            stack.extend(sons)
-        else:
-            stack.pop()
-            built[label] = BinaryTree(built[left[label]], built[right[label]])
-    t = built[root_label]
-    assert size(t) == n, "grafting did not reassemble the whole tree"
-    return t
+        for v in block:
+            r[v - 1] = block[-1] - v
+    return _upper_tree(_brackets_inc(r))
 
 
 def ncp_leq(pi1: NoncrossingPartition, pi2: NoncrossingPartition) -> bool:
@@ -370,7 +353,10 @@ def nct_to_json(t: NoncrossingTree) -> str:
 def nct_from_json(text: str) -> NoncrossingTree:
     obj = json.loads(text)
     _check_limit(obj["n"], "noncrossing tree")
-    return NoncrossingTree(obj["n"], frozenset((a, b) for a, b in obj["edges"]))
+    edges = [(a, b) for a, b in obj["edges"]]
+    if len(set(edges)) < len(edges):
+        raise ValueError("an edge is listed twice")
+    return NoncrossingTree(obj["n"], frozenset(edges))
 
 
 def ncp_to_json(p: NoncrossingPartition) -> str:

@@ -379,6 +379,17 @@ def _holding(rows: Iterable[Iterable[Hashable]]) -> dict:
     return bits
 
 
+def _brackets_inc(r: Sequence[int]) -> Masks:
+    """A row of :attr:`Universe.incs`; as a list, ``r`` may pass 255."""
+    n = len(r)
+    inc = [0] * n
+    for y in range(n - 1, -1, -1):
+        a = y + r[y] + 2
+        if a <= n:
+            inc[y] = inc[a - 1] | 1 << (a - 1)
+    return tuple(inc)
+
+
 class Universe:
     """The trees of one size as columns indexed like ``enumerate_trees(n)``
     (a per-vertex row by label - 1), each built on first read: ``census``
@@ -429,15 +440,7 @@ class Universe:
     @cached_property
     def incs(self) -> tuple[Masks, ...]:
         """Bit j - 1 of entry y - 1 iff y is in j's left subtree: a or a's."""
-        n, rows = self.n, []
-        for r in self.brackets:
-            inc = [0] * n
-            for y in range(n - 1, -1, -1):
-                a = y + r[y] + 2
-                if a <= n:
-                    inc[y] = inc[a - 1] | 1 << (a - 1)
-            rows.append(tuple(inc))
-        return tuple(rows)
+        return tuple(map(_brackets_inc, self.brackets))
 
     @cached_property
     def ir(self) -> tuple[int, ...]:

@@ -6,15 +6,14 @@ behind ``tamari verify`` and the acceptance suite."""
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import accumulate, combinations
+from itertools import combinations
 from operator import and_, getitem, ne, or_
 from typing import Callable, Iterator, NamedTuple
 
 from . import census, classify, risefall
 from .census import _block_keys, catalan
 from .noncrossing import (
-    NoncrossingTree,
-    edge_labels,
+    _chord_masks,
     enumerate_ncp,
     enumerate_nct,
     nct_to_json,
@@ -37,7 +36,7 @@ from .posets import (
     universe,
     validate,
 )
-from .trees import Masks, dec_masks, enumerate_trees, inc_masks, tree_to_text
+from .trees import dec_masks, enumerate_trees, inc_masks, tree_to_text
 
 # Size caps: a part of a check with a cap covers n <= min(max_size, cap);
 # the counts, the three per-upper equalities, the triangle and the tree
@@ -100,25 +99,6 @@ def _pairs(keys: bytes, same: bool) -> list[tuple[int, int]]:
             if (keys[i] == keys[j]) is same]
 
 
-def _nct_masks(t: NoncrossingTree) -> tuple[Masks, Masks]:
-    """The Dec and the Inc masks of ``nct_to_poset(t)``, straight from the
-    chords: i <| j iff chord j nests chord i, and nesting is transitive, so
-    there is nothing to close.  Chord (a, b) nests (c, d) iff a <= c and
-    d <= b, so the chords nesting (c, d) are those starting at or before c
-    and ending at or after d."""
-    n, labels = t.n, edge_labels(t)
-    starts, ends = [0] * (n + 1), [0] * (n + 1)
-    for (a, b), label in labels.items():
-        starts[a] |= 1 << (label - 1)
-        ends[b] |= 1 << (label - 1)
-    by_start = list(accumulate(starts, or_))
-    by_end = list(accumulate(reversed(ends), or_))[::-1]
-    up = [0] * n
-    for (c, d), label in labels.items():
-        up[label - 1] = (by_start[c] & by_end[d]) ^ 1 << (label - 1)  # all but (c, d)
-    return dec_masks(up), inc_masks(up)
-
-
 def _check_exceptional(max_size: int) -> str:
     # [S, T] is exceptional iff S's partition refines T's: S is in no
     # same[i, j], the trees with i and j in one block, for i, j in two
@@ -133,7 +113,8 @@ def _check_exceptional(max_size: int) -> str:
             lower_of = {dec: s for s, dec in enumerate(u.decs)}
             upper_of = {inc: s for s, inc in enumerate(u.incs)}
             for t in enumerate_nct(n):
-                dec, inc = _nct_masks(t)
+                up = _chord_masks(t)  # the masks nct_to_poset(t) validates
+                dec, inc = dec_masks(up), inc_masks(up)
                 if dec not in lower_of or inc not in upper_of:
                     return f"n={n}: noncrossing tree {nct_to_json(t)} maps to no tree pair"
                 image[upper_of[inc]] |= 1 << lower_of[dec]

@@ -21,7 +21,11 @@ and the single-poset path that the per-pair and per-vertex stages of
 ``posets`` replaced: Warshall's closure, the transpose-first axiom check,
 the frozenset reading of a poset's JSON object, ``json.dumps`` of its
 dict (``poset_to_obj``, which left the package) and the order-checked
-``to_interval``.  The two combs are fixtures.  Last come ``@dataclass``
+``to_interval``.  The noncrossing maps that moved onto the shared
+encodings follow: the all-pairs crossing test of a tree's edges, the
+all-pairs chord nesting closed by ``make_poset``, and the two
+hand-written walks between binary trees and partitions.  The two combs
+are fixtures.  Last come ``@dataclass``
 twins of the package's carriers and records, the definitions that the
 ``__slots__`` classes and named tuples replaced.
 Several recurse, which is fine on the small trees the tests give them.
@@ -32,12 +36,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from typing import Iterator, NamedTuple
 
 from tamari import classify
 from tamari.census import TriangleB
 from tamari.noncrossing import (
+    Chord,
     NoncrossingPartition,
+    NoncrossingTree,
+    edge_labels,
     enumerate_ncp,
     make_partition,
     ncp_leq,
@@ -60,6 +68,7 @@ from tamari.posets import (
     _sorted_pairs,
     _raise_witness,
     _upper_tree,
+    make_poset,
     universe,
     validate,
 )
@@ -687,6 +696,85 @@ def dumped_json(p: RangeRelation) -> str:
 def checked_to_interval(p: IntervalPoset) -> TamariInterval:
     """``to_interval`` with the order check of ``TamariInterval``."""
     return TamariInterval(_lower_tree(dec_masks(p.up)), _upper_tree(inc_masks(p.up)))
+
+
+# -- the noncrossing maps -------------------------------------------------------
+
+# The routines that ``tamari.noncrossing`` replaced by a sweep over the
+# chords, by chord-nesting masks and by the bracket vector of a tree.
+
+
+def crossing(e1: Chord, e2: Chord) -> bool:
+    (a, b), (c, d) = sorted((e1, e2))
+    return a < c < b < d
+
+
+def chord_crossings(edges) -> list[tuple[Chord, Chord]]:
+    """Every pair of the chords ``edges`` that cross, each pair tested."""
+    return [(e1, e2) for e1, e2 in combinations(sorted(edges), 2) if crossing(e1, e2)]
+
+
+def pairwise_nct_to_poset(t: NoncrossingTree) -> IntervalPoset:
+    """i <| j iff chord j nests chord i, tested for every two chords, then
+    closed by ``make_poset``."""
+    chord_of = {label: chord for chord, label in edge_labels(t).items()}
+    pairs = set()
+    for i, (c, d) in chord_of.items():
+        for j, (a, b) in chord_of.items():
+            if i != j and a <= c <= d <= b:
+                pairs.add((i, j))
+    return make_poset(t.n, pairs)
+
+
+def walked_partition_of_tree(t: Tree) -> NoncrossingPartition:
+    """An iterative in-order walk; a right child is labelled after its
+    parent and joins the parent's block."""
+    block_of = [0]  # block_of[label]: the smallest label of its block
+    blocks: dict[int, list[int]] = {}
+    stack: list[tuple[BinaryTree, int]] = []  # (node, parent label if right child)
+    node, parent = t, 0
+    while stack or node is not None:
+        while node is not None:
+            stack.append((node, parent))
+            node, parent = node.left, 0
+        node, parent = stack.pop()
+        label = len(block_of)
+        first = block_of[parent] if parent else label
+        block_of.append(first)
+        blocks.setdefault(first, []).append(label)
+        node, parent = node.right, label
+    return make_partition(blocks.values())
+
+
+def grafted_tree_of_partition(pi: NoncrossingPartition) -> Tree:
+    """Each block becomes a right chain rooted at its minimum, then each
+    chain is grafted as the left son of the vertex labelled max(block)+1;
+    built in an iterative post-order."""
+    n = pi.n
+    left: dict[int, int | None] = {x: None for x in range(1, n + 1)}
+    right: dict[int, int | None] = {x: None for x in range(1, n + 1)}
+    root_label = None
+    for block in pi.blocks:
+        for x, y in zip(block, block[1:]):
+            right[x] = y
+        m = block[-1]
+        if m == n:
+            root_label = block[0]
+        else:
+            left[m + 1] = block[0]
+    built: dict[int | None, Tree] = {None: None}
+    stack = [root_label]
+    while stack:
+        label = stack[-1]
+        sons = [s for s in (left[label], right[label]) if s not in built]
+        if sons:
+            stack.extend(sons)
+        else:
+            stack.pop()
+            built[label] = BinaryTree(built[left[label]], built[right[label]])
+    t = built[root_label]
+    assert size(t) == n, "grafting did not reassemble the whole tree"
+    return t
 
 
 # -- dataclass twins ------------------------------------------------------------

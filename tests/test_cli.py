@@ -10,7 +10,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import poset_to_obj
+from oracles import grafted_tree_of_partition, poset_to_obj
 import tamari
 from tamari import census, noncrossing, posets
 from tamari.cli import BROKEN_PIPE, main
@@ -18,12 +18,13 @@ from tamari.noncrossing import enumerate_ncp, enumerate_nct, ncp_to_json, nct_to
 from tamari.posets import (
     MAX_OBJECT_SIZE,
     enumerate_interval_posets,
+    from_interval,
     poset_from_json,
     poset_to_json,
     to_interval,
     tree_poset,
 )
-from tamari.trees import tree_to_obj
+from tamari.trees import TamariInterval, tree_to_obj
 
 
 def run(argv):
@@ -149,6 +150,22 @@ class TestConvert:
                           "--input", text])
         assert code == 0
         assert json.loads(back) == json.loads(blob)
+
+    def test_repeated_edge_is_a_usage_error(self, capsys):
+        # a frozenset of the edges would hold two, and pass as a tree on 2
+        blob = '{"n": 2, "edges": [[0, 1], [0, 1], [1, 2]]}'
+        code, text = run(["convert", "--from", "nct", "--to", "poset", "--input", blob])
+        assert (code, text) == (2, "")
+        assert one_error_line(capsys)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_single_partition_to_poset_matches_the_interval_path(self, n):
+        # the path it replaced: the singleton interval at the grafted tree
+        for pi in enumerate_ncp(n):
+            code, text = run(["convert", "--from", "ncp", "--to", "poset",
+                              "--input", ncp_to_json(pi)])
+            t = grafted_tree_of_partition(pi)
+            assert (code, text) == (0, poset_to_json(from_interval(TamariInterval(t, t))) + "\n")
 
     def test_ncp_interval_to_poset(self):
         blob = json.dumps({

@@ -3,12 +3,22 @@ import math
 
 import pytest
 
-from oracles import bell_scan_ncp, left_comb, right_comb, tree_from_text
+from oracles import (
+    bell_scan_ncp,
+    chord_crossings,
+    grafted_tree_of_partition,
+    left_comb,
+    pairwise_nct_to_poset,
+    right_comb,
+    tree_from_text,
+    walked_partition_of_tree,
+)
 from tamari import classify
 from tamari.noncrossing import (
     NoncrossingPartition,
     NoncrossingTree,
     PlantOutcome,
+    _is_tree,
     boundary_tree,
     count_nct,
     edge_labels,
@@ -27,7 +37,13 @@ from tamari.noncrossing import (
     poset_to_nct,
     tree_of_partition,
 )
-from tamari.posets import RangeRelation, enumerate_interval_posets, validate
+from tamari.posets import (
+    MAX_OBJECT_SIZE,
+    RangeRelation,
+    enumerate_interval_posets,
+    to_interval,
+    validate,
+)
 from tamari.trees import (
     enumerate_trees,
     relation_masks,
@@ -55,6 +71,28 @@ class TestNoncrossingTree:
     def test_rejects_wrong_edge_count(self):
         with pytest.raises(ValueError):
             NoncrossingTree(3, frozenset({(0, 1), (1, 2)}))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_crossing_sweep_matches_the_pairwise_oracle(self, n):
+        # every set of n chords of the based (n+1)-gon: the constructor
+        # accepts exactly the spanning trees with no two chords crossing,
+        # and the pair its error names does cross
+        chords = list(itertools.combinations(range(n + 1), 2))
+        for combo in itertools.combinations(chords, n):
+            edges = frozenset(combo)
+            try:
+                NoncrossingTree(n, edges)
+            except ValueError as exc:
+                error = str(exc)
+            else:
+                error = ""
+            if not _is_tree(n, edges):
+                assert error == "edge set is not a spanning tree"
+            elif not chord_crossings(edges):
+                assert error == ""
+            else:
+                named = {f"edges {e1} and {e2} cross" for e1, e2 in chord_crossings(edges)}
+                assert error in named
 
     @pytest.mark.parametrize("n,count", [
         (1, 1), (2, 3), (3, 12), (4, 55), (5, 273), (6, 1428), (7, 7752),
@@ -127,6 +165,38 @@ class TestPosetCorrespondence:
         p = validate(RangeRelation(3, frozenset({(2, 1), (2, 3)})))
         with pytest.raises(ValueError):
             poset_to_nct(p)
+
+    @pytest.mark.parametrize("n", [
+        1, 2, 3, 4, 5, 6, 7,
+        pytest.param(8, marks=pytest.mark.slow),
+    ])
+    def test_chord_masks_match_the_closed_pairwise_nesting(self, n):
+        for t in enumerate_nct(n):
+            assert nct_to_poset(t) == pairwise_nct_to_poset(t)
+
+
+def fan(n):
+    return NoncrossingTree(n, frozenset((0, k) for k in range(1, n + 1)))
+
+
+def caterpillar(n):
+    # fan edges at even k, boundary edges at odd k
+    edges = ((0, k) if k % 2 == 0 else (k - 1, k) for k in range(1, n + 1))
+    return NoncrossingTree(n, frozenset(edges))
+
+
+@pytest.mark.parametrize("make", [fan, boundary_tree, caterpillar])
+def test_maps_match_their_oracles_at_the_size_limit(make):
+    # the chord map, and both partition maps on the bounds of its image
+    t = make(MAX_OBJECT_SIZE)
+    p = nct_to_poset(t)
+    assert p == pairwise_nct_to_poset(t)
+    assert poset_to_nct(p) == t
+    interval = to_interval(p)
+    for tree in (interval.lower, interval.upper):
+        pi = partition_of_tree(tree)
+        assert pi == walked_partition_of_tree(tree)
+        assert tree_of_partition(pi) == grafted_tree_of_partition(pi) == tree
 
 
 def restrict(p, elements):
@@ -352,6 +422,23 @@ class TestPartitionTreeBijection:
     def test_matches_the_recursive_walk(self, n):
         for t in enumerate_trees(n):
             assert partition_of_tree(t) == self.recursive_partition_of_tree(t)
+
+    @pytest.mark.parametrize("n", [
+        1, 2, 3, 4, 5, 6, 7,
+        pytest.param(8, marks=pytest.mark.slow),
+    ])
+    def test_match_the_walks_they_replaced(self, n):
+        for t in enumerate_trees(n):
+            assert partition_of_tree(t) == walked_partition_of_tree(t)
+        for pi in enumerate_ncp(n):
+            assert tree_of_partition(pi) == grafted_tree_of_partition(pi)
+
+    @pytest.mark.parametrize("make", [left_comb, right_comb])
+    def test_combs_at_the_size_limit_match_the_walks(self, make):
+        t = make(MAX_OBJECT_SIZE)
+        pi = partition_of_tree(t)
+        assert pi == walked_partition_of_tree(t)
+        assert tree_of_partition(pi) == grafted_tree_of_partition(pi) == t
 
     def test_deep_combs(self):
         # deeper than the interpreter's recursion limit

@@ -7,10 +7,10 @@ import io
 
 import pytest
 
-from oracles import ENUMERATION_COLUMNS
+from oracles import ENUMERATION_COLUMNS, pairwise_nct_to_poset
 from tamari import census, classify, posets, risefall, verify
 from tamari.cli import main
-from tamari.noncrossing import enumerate_nct, nct_to_poset
+from tamari.noncrossing import enumerate_nct
 from tamari.trees import dec_masks, inc_masks
 
 
@@ -89,14 +89,15 @@ def test_exceptional_check_fails_on_upper_block_keys_one_label_off(monkeypatch):
     pytest.param(8, marks=pytest.mark.slow),
 ])
 def test_noncrossing_tree_masks_equal_the_closed_poset(n):
-    # the chord-nesting map against nct_to_poset and the index search on
-    # the universe's columns that it replaced
+    # the chord-nesting masks that verify reads against the closed pairwise
+    # nesting and the index search on the universe's columns they replaced
     u = posets.universe(n)
     lower_of = {dec: s for s, dec in enumerate(u.decs)}
     upper_of = {inc: s for s, inc in enumerate(u.incs)}
     for t in enumerate_nct(n):
-        p = nct_to_poset(t)
-        dec, inc = verify._nct_masks(t)
+        p = pairwise_nct_to_poset(t)
+        up = verify._chord_masks(t)
+        dec, inc = dec_masks(up), inc_masks(up)
         assert (dec, inc) == (dec_masks(p.up), inc_masks(p.up))
         assert (lower_of[dec], upper_of[inc]) == (
             u.decs.index(dec_masks(p.up)), u.incs.index(inc_masks(p.up))
@@ -104,7 +105,7 @@ def test_noncrossing_tree_masks_equal_the_closed_poset(n):
 
 
 def test_exceptional_check_names_a_noncrossing_tree_with_no_tree_pair(monkeypatch):
-    monkeypatch.setattr(verify, "_nct_masks", lambda t: ((0,) * t.n, (-1,) * t.n))
+    monkeypatch.setattr(verify, "_chord_masks", lambda t: [-1] * t.n)
     assert verify._check_exceptional(4) == (
         'n=1: noncrossing tree {"n": 1, "edges": [[0, 1]]} maps to no tree pair'
     )
@@ -141,7 +142,7 @@ def test_linear_extension_check_fails_when_a_member_is_dropped(monkeypatch):
 
 def test_first_record_comes_before_the_posets_and_the_noncrossing_map(monkeypatch):
     mapped = []
-    monkeypatch.setattr(verify, "_nct_masks", mapped.append)
+    monkeypatch.setattr(verify, "_chord_masks", mapped.append)
     posets.universe.cache_clear()
     verify._capped.cache_clear()
     checks = verify.run_checks(6)
